@@ -1,12 +1,11 @@
 //! Cost of the determinism analyzer over the live workspace, split into
 //! its stages: the per-file token pass (`lint_workspace`'s dominant
-//! cost before the call-graph work existed), the call-graph analysis
-//! (parse → graph build → D006–D008 reachability), the full pass with
-//! the intraprocedural dataflow rules (D009–D012) rooted, and — since
-//! v4 — the bottom-up effect-summary fixpoint (SCC condensation +
-//! worklist) measured both in isolation over a prebuilt graph and as
-//! part of the full D006–D015 pass. The deltas are what each proof
-//! layer costs on top of the previous one, and the absolute numbers are
+//! cost before the call-graph work existed), the full pass (parse →
+//! graph build → effect-summary fixpoint → every D006–D015 rule rooted
+//! as in `lint.toml`), and the bottom-up effect-summary fixpoint (SCC
+//! condensation + worklist) in isolation over a prebuilt graph. The
+//! delta between the two passes is what the interprocedural proofs cost
+//! on top of reading and tokenising the workspace, and the full pass is
 //! what `scripts/verify.sh` pays per gate run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -25,12 +24,11 @@ fn load_policy(root: &std::path::Path) -> Policy {
 fn bench_token_pass(c: &mut Criterion) {
     let root = workspace_root();
     let mut policy = load_policy(&root);
-    // Unroot the graph and dataflow rules: this measures the
-    // pre-existing per-file scan alone. (The live D006–D012 pragmas
+    // Unroot the graph and summary rules: this measures the
+    // pre-existing per-file scan alone. (The live D006–D015 pragmas
     // read as stale without their rules, so cleanliness is asserted
     // only in the full pass.)
     policy.graph = Default::default();
-    policy.dataflow = Default::default();
     policy.summary = Default::default();
     c.bench_function("lint/token_pass", |b| {
         b.iter(|| {
@@ -41,27 +39,10 @@ fn bench_token_pass(c: &mut Criterion) {
     });
 }
 
-fn bench_callgraph_pass(c: &mut Criterion) {
-    let root = workspace_root();
-    let mut policy = load_policy(&root);
-    // Graph rules rooted, dataflow rules unrooted: the taint pass still
-    // runs per function (it is part of parsing now), but the D009–D012
-    // entry scans and flow reporting are off. The delta against
-    // lint/dataflow_pass is the reporting layer's cost.
-    policy.dataflow = Default::default();
-    policy.summary = Default::default();
-    c.bench_function("lint/callgraph_pass", |b| {
-        b.iter(|| {
-            let analysis = doe_lint::analyze_workspace(&root, &policy).expect("analysis runs");
-            analysis.graph.nodes.len() + analysis.graph.edges.len()
-        })
-    });
-}
-
-fn bench_full_dataflow(c: &mut Criterion) {
+fn bench_full_pass(c: &mut Criterion) {
     let root = workspace_root();
     let policy = load_policy(&root);
-    c.bench_function("lint/dataflow_pass", |b| {
+    c.bench_function("lint/full_pass", |b| {
         b.iter(|| {
             let analysis = doe_lint::analyze_workspace(&root, &policy).expect("analysis runs");
             assert!(analysis.report.clean());
@@ -98,8 +79,7 @@ fn bench_graph_export(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_token_pass,
-    bench_callgraph_pass,
-    bench_full_dataflow,
+    bench_full_pass,
     bench_summary_fixpoint,
     bench_graph_export
 );

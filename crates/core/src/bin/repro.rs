@@ -28,50 +28,60 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// A parsed command line.
+struct Cli {
+    config: StudyConfig,
+    json_dir: Option<String>,
+    metrics_path: Option<String>,
+    targets: Vec<String>,
+}
+
+/// Parse the command line; `None` when it is malformed. `--paper`
+/// chooses the base configuration wherever it appears, so every other
+/// flag applies on top of it.
+fn parse(args: &[String]) -> Option<Cli> {
+    let paper = args.iter().any(|a| a == "--paper");
+    let mut cli = Cli {
+        config: if paper {
+            StudyConfig::paper(2019)
+        } else {
+            StudyConfig::quick(2019)
+        },
+        json_dir: None,
+        metrics_path: None,
+        targets: Vec::new(),
+    };
+    let config = &mut cli.config;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--paper" => {}
+            "--scale" => config.scale = it.next()?.parse().ok()?,
+            "--seed" => config.seed = it.next()?.parse().ok()?,
+            "--epochs" => config.epochs = it.next()?.parse().ok()?,
+            "--shards" => config.shards = it.next()?.parse().ok()?,
+            "--clients" => config.sim_clients = it.next()?.parse().ok()?,
+            "--trace" => config.trace_capacity = 4096,
+            "--json" => cli.json_dir = Some(it.next()?.clone()),
+            "--metrics" => cli.metrics_path = Some(it.next()?.clone()),
+            other if other.starts_with('-') => return None,
+            other => cli.targets.push(other.to_string()),
+        }
+    }
+    Some(cli)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         usage();
     }
-    let mut config = StudyConfig::quick(2019);
-    let mut json_dir: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut targets: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--paper" => config = StudyConfig::paper(config.seed),
-            "--scale" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                config.scale = v.parse().unwrap_or_else(|_| usage());
-            }
-            "--seed" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                config.seed = v.parse().unwrap_or_else(|_| usage());
-            }
-            "--epochs" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                config.epochs = v.parse().unwrap_or_else(|_| usage());
-            }
-            "--shards" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                config.shards = v.parse().unwrap_or_else(|_| usage());
-            }
-            "--clients" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                config.sim_clients = v.parse().unwrap_or_else(|_| usage());
-            }
-            "--trace" => config.trace_capacity = 4096,
-            "--json" => {
-                json_dir = Some(it.next().unwrap_or_else(|| usage()));
-            }
-            "--metrics" => {
-                metrics_path = Some(it.next().unwrap_or_else(|| usage()));
-            }
-            other if other.starts_with('-') => usage(),
-            other => targets.push(other.to_string()),
-        }
-    }
+    let Cli {
+        config,
+        json_dir,
+        metrics_path,
+        targets,
+    } = parse(&args).unwrap_or_else(|| usage());
     if targets.iter().any(|t| t == "list") {
         for id in ALL_EXPERIMENTS {
             println!("{id}");
@@ -161,6 +171,45 @@ fn main() {
                 event.kind,
                 event.elapsed.as_micros()
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    fn config(line: &str) -> StudyConfig {
+        parse(&args(line)).expect("valid command line").config
+    }
+
+    #[test]
+    fn paper_flag_position_does_not_matter() {
+        assert_eq!(
+            config("--shards 1 --paper all"),
+            config("--paper --shards 1 all")
+        );
+        assert_eq!(
+            config("--scale 0.5 --seed 7 --epochs 2 --clients 10 --trace --shards 1 --paper all"),
+            StudyConfig {
+                scale: 0.5,
+                epochs: 2,
+                sim_clients: 10,
+                trace_capacity: 4096,
+                shards: 1,
+                ..StudyConfig::paper(7)
+            }
+        );
+    }
+
+    #[test]
+    fn malformed_command_lines_are_rejected() {
+        for bad in ["--shards", "--shards x all", "--bogus all", "--json"] {
+            assert!(parse(&args(bad)).is_none(), "{bad} should not parse");
         }
     }
 }

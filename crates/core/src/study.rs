@@ -13,7 +13,7 @@ use doe_vantage::reachability::{reachability_test_sharded, ReachabilityReport};
 use worldgen::{World, WorldConfig};
 
 /// Knobs for a study run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StudyConfig {
     /// World seed.
     pub seed: u64,

@@ -17,8 +17,8 @@
 //!   try again, up to the attempt budget.
 //!
 //! Determinism: each machine owns a `SmallRng` seeded from
-//! `mix_seed(salt, client_index)` and swaps it into the [`Network`]
-//! around every operation ([`Network::swap_rng`]), so a client's draw
+//! `mix_seed(salt, client_index)` and installs it in the [`Network`]
+//! for every operation ([`Network::with_rng`]), so a client's draw
 //! sequence is identical no matter how machines interleave or how many
 //! shards the fleet is split across.
 
@@ -180,16 +180,16 @@ impl StubMachine {
     }
 
     /// Issue attempt `attempt` of the current logical query. The machine
-    /// RNG is swapped into the network for the duration, so the draw
+    /// RNG stands in for the shard stream for the duration, so the draw
     /// sequence belongs to this client alone.
     fn issue_query(&mut self, net: &mut Network, attempt: u32) {
         let name = format!(
             "q{}a{}.c{}.{}",
             self.completed, attempt, self.client, self.pacing.apex
         );
-        net.swap_rng(&mut self.rng);
-        let outcome = self.stub.resolve(net, self.src, &name, RecordType::A);
-        net.swap_rng(&mut self.rng);
+        let outcome = net.with_rng(&mut self.rng, |net| {
+            self.stub.resolve(net, self.src, &name, RecordType::A)
+        });
         match outcome {
             Ok(reply) => {
                 self.phase = Phase::Waiting {

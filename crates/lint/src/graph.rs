@@ -56,9 +56,6 @@ pub struct FnNode {
     /// resolution drop same-name candidates whose signature cannot
     /// match the call site.
     pub arity: usize,
-    /// Intraprocedural dataflow findings, reported only when the node is
-    /// reachable from the relevant `[dataflow]` entry set.
-    pub flows: Vec<crate::dataflow::Flow>,
     /// Lock acquisitions in the body (D013).
     pub lock_sites: Vec<LockSite>,
     /// True when the function carries an explicit recursion bound (D014).
@@ -144,7 +141,6 @@ pub fn build(sources: &[SourceItems]) -> CallGraph {
                 line: f.line,
                 hazards: f.hazards.clone(),
                 arity: f.arity,
-                flows: f.flows.clone(),
                 lock_sites: f.lock_sites.clone(),
                 recursion_guard: f.recursion_guard,
                 wall_clock: f.wall_clock,

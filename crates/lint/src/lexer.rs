@@ -20,18 +20,7 @@ pub enum TokKind {
     /// A single punctuation character (`.`, `!`, `(`, ...).
     Punct(char),
     /// Any literal: string, raw string, byte string, char or number.
-    Literal(LitKind),
-}
-
-/// The broad class of a literal. The dataflow pass needs to tell a raw
-/// integer (a virtual-time hazard, D011) from string/char text (never
-/// one); finer classification stays out of scope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LitKind {
-    /// Numeric literal (`500`, `1.5`, `0xFF`, `3u64`).
-    Num,
-    /// String, raw-string, byte-string or char literal.
-    Text,
+    Literal,
 }
 
 /// A token plus the 1-based line it starts on.
@@ -55,16 +44,6 @@ impl Tok {
     /// True if this token is the punctuation character `c`.
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct(c)
-    }
-
-    /// True if this token is any literal.
-    pub fn is_literal(&self) -> bool {
-        matches!(self.kind, TokKind::Literal(_))
-    }
-
-    /// True if this token is a numeric literal.
-    pub fn is_num_literal(&self) -> bool {
-        matches!(self.kind, TokKind::Literal(LitKind::Num))
     }
 }
 
@@ -137,7 +116,7 @@ pub fn lex(src: &str) -> Lexed {
             '"' => {
                 out.toks.push(Tok {
                     line,
-                    kind: TokKind::Literal(LitKind::Text),
+                    kind: TokKind::Literal,
                 });
                 i = skip_quoted(&cs, i, &mut line);
             }
@@ -146,7 +125,7 @@ pub fn lex(src: &str) -> Lexed {
                 if let Some(end) = raw_string_end(&cs, i, &mut line) {
                     out.toks.push(Tok {
                         line,
-                        kind: TokKind::Literal(LitKind::Text),
+                        kind: TokKind::Literal,
                     });
                     i = end;
                 } else if c == 'r'
@@ -178,7 +157,7 @@ pub fn lex(src: &str) -> Lexed {
             c if c.is_ascii_digit() => {
                 out.toks.push(Tok {
                     line,
-                    kind: TokKind::Literal(LitKind::Num),
+                    kind: TokKind::Literal,
                 });
                 i += 1;
                 while i < n {
@@ -248,7 +227,7 @@ fn lex_quote(cs: &[char], i: usize, line: &mut u32, out: &mut Lexed) -> usize {
             // `u{..}` contain no quotes).
             out.toks.push(Tok {
                 line: *line,
-                kind: TokKind::Literal(LitKind::Text),
+                kind: TokKind::Literal,
             });
             let mut j = i + 3;
             while j < n && cs[j] != '\'' {
@@ -260,7 +239,7 @@ fn lex_quote(cs: &[char], i: usize, line: &mut u32, out: &mut Lexed) -> usize {
             // Any single-char literal: 'a', '{', '.', ...
             out.toks.push(Tok {
                 line: *line,
-                kind: TokKind::Literal(LitKind::Text),
+                kind: TokKind::Literal,
             });
             i + 3
         }

@@ -28,12 +28,6 @@
 //! * **D009** — no blocking operation (sleeps, channel receives, real
 //!   I/O, lock-in-loop) reachable from the event-machine step entry
 //!   points (interprocedural).
-//! * **D010** — per-machine RNG confinement: `swap_rng` paired on all
-//!   exit paths, and no RNG-derived value flowing into shared
-//!   `DataPlane` writes (interprocedural + dataflow, see [`dataflow`]).
-//! * **D011** — virtual-time unit hygiene: no raw integer literal or
-//!   `std::time::Duration` flowing into `sched` deadline APIs except
-//!   through `SimInstant`/`SimDuration` (dataflow).
 //! * **D012** — no allocation site reachable from the telemetry
 //!   hot-path entry points (interprocedural).
 //! * **D013** — consistent lock-acquisition order: the lock-order graph
@@ -57,7 +51,6 @@
 //! (`src/bin/`, `main.rs`), `tests/`, `benches/`, `examples/` and
 //! `#[cfg(test)]` items are exempt by construction.
 
-pub mod dataflow;
 pub mod graph;
 pub mod lexer;
 pub mod lockorder;
@@ -98,9 +91,6 @@ pub struct Finding {
     /// For interprocedural rules: the call chain from an entry point to
     /// the hazard site, as `fn (file:line)` hops. Empty for token rules.
     pub chain: Vec<String>,
-    /// For dataflow rules (D010/D011): the intraprocedural def-use steps
-    /// from taint source to sink, in order. Empty otherwise.
-    pub flow: Vec<String>,
     /// For interprocedural rules: which effect-summary bit convicted the
     /// finding, in which condensation component, over how many frames.
     /// `None` for token rules.
@@ -154,7 +144,6 @@ struct RawHit {
     rule: String,
     message: String,
     chain: Vec<String>,
-    flow: Vec<String>,
     summary: Option<reach::SummaryNote>,
 }
 
@@ -191,7 +180,6 @@ fn pragma_slots<'a>(
             message: e.message,
             severity: Severity::Error,
             chain: Vec::new(),
-            flow: Vec::new(),
             summary: None,
         });
     }
@@ -243,7 +231,6 @@ fn settle(file: &str, raw: Vec<RawHit>, mut slots: PragmaSlots<'_>) -> FileOutco
                 message: hit.message,
                 severity: Severity::Error,
                 chain: hit.chain,
-                flow: hit.flow,
                 summary: hit.summary,
             }),
         }
@@ -270,7 +257,6 @@ fn settle(file: &str, raw: Vec<RawHit>, mut slots: PragmaSlots<'_>) -> FileOutco
                 .to_string(),
             severity: Severity::Error,
             chain: Vec::new(),
-            flow: Vec::new(),
             summary: None,
         });
     }
@@ -302,7 +288,6 @@ pub fn lint_source(file: &str, src: &str, enabled: &[String]) -> FileOutcome {
             rule: f.rule.to_string(),
             message: f.message,
             chain: Vec::new(),
-            flow: Vec::new(),
             summary: None,
         })
         .collect();
@@ -528,7 +513,6 @@ pub fn analyze(
                 rule: f.rule.to_string(),
                 message: f.message,
                 chain: Vec::new(),
-                flow: Vec::new(),
                 summary: None,
             })
             .collect();
@@ -537,8 +521,7 @@ pub fn analyze(
             .get(&lf.file.crate_key)
             .cloned()
             .unwrap_or_else(|| lf.file.crate_key.clone());
-        let mut parsed = parser::parse_file(&module, &lexed.toks, &mask);
-        dataflow::analyze(&lexed.toks, &mut parsed);
+        let parsed = parser::parse_file(&module, &lexed.toks, &mask);
         graph_sources.push(graph::SourceItems {
             crate_key: lf.file.crate_key.clone(),
             crate_name,
@@ -558,13 +541,7 @@ pub fn analyze(
 
     let callgraph = graph::build(&graph_sources);
     let summaries = summary::compute(&callgraph);
-    let chain_findings = reach::check(
-        &callgraph,
-        &summaries,
-        &policy.graph,
-        &policy.dataflow,
-        &policy.summary,
-    )?;
+    let chain_findings = reach::check(&callgraph, &summaries, &policy.graph, &policy.summary)?;
     let mut per_file: BTreeMap<String, Vec<RawHit>> = BTreeMap::new();
     for f in chain_findings {
         per_file.entry(f.file.clone()).or_default().push(RawHit {
@@ -572,7 +549,6 @@ pub fn analyze(
             rule: f.rule.to_string(),
             message: f.message,
             chain: f.chain,
-            flow: f.flow,
             summary: f.summary,
         });
     }

@@ -243,8 +243,7 @@ mod tests {
         let lexed = lex(src);
         let mask = test_mask(&lexed.toks);
         let module: Vec<String> = Vec::new();
-        let mut parsed = parse_file(&module, &lexed.toks, &mask);
-        crate::dataflow::analyze(&lexed.toks, &mut parsed);
+        let parsed = parse_file(&module, &lexed.toks, &mask);
         build(&[SourceItems {
             crate_key: "a".to_string(),
             crate_name: "a".to_string(),

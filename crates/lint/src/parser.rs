@@ -110,13 +110,6 @@ pub struct FnItem {
     /// Declared parameter count, `self` excluded — pairs with
     /// [`Call::arity`] to narrow method-call resolution.
     pub arity: usize,
-    /// Half-open token range of the body: first token after the opening
-    /// `{` to the index of the closing `}`. The dataflow pass
-    /// ([`crate::dataflow`]) re-walks this range.
-    pub body: (usize, usize),
-    /// Intraprocedural dataflow findings, attached after parsing by
-    /// [`crate::dataflow::analyze`].
-    pub flows: Vec<crate::dataflow::Flow>,
     /// Lock acquisitions in the body, in source order (D013).
     pub lock_sites: Vec<LockSite>,
     /// True when the function carries an explicit recursion bound: a
@@ -344,9 +337,7 @@ impl<'a> Parser<'a> {
                     self.i += 1;
                 }
                 TokKind::Punct('}') => {
-                    if let Some(ScopeKind::Fn(idx)) = self.scopes.pop() {
-                        self.out.fns[idx].body.1 = self.i;
-                    }
+                    self.scopes.pop();
                     self.i += 1;
                 }
                 TokKind::Punct(';') => {
@@ -621,8 +612,6 @@ impl<'a> Parser<'a> {
                         calls: Vec::new(),
                         hazards: Vec::new(),
                         arity: params.saturating_sub(usize::from(has_self)),
-                        body: (self.i + 1, self.i + 1),
-                        flows: Vec::new(),
                         lock_sites: Vec::new(),
                         recursion_guard: sig_guard,
                         wall_clock: sig_clock,
@@ -1580,24 +1569,6 @@ mod tests {
             .map(|h| h.what.as_str())
             .collect();
         assert_eq!(alloc, vec!["vec!", "format!"]);
-    }
-
-    #[test]
-    fn body_ranges_cover_exactly_the_braces() {
-        let src = "fn a() { one(); }\nfn b() { two(); }";
-        let p = parse(src);
-        let lexed = lex(src);
-        for f in &p.fns {
-            let (start, end) = f.body;
-            assert!(start < end, "{}: empty body range", f.name);
-            assert!(
-                lexed.toks[end].is_punct('}'),
-                "{}: body end is not the closing brace",
-                f.name
-            );
-        }
-        // Disjoint: a's body ends before b's begins.
-        assert!(p.fns[0].body.1 < p.fns[1].body.0);
     }
 
     #[test]

@@ -18,8 +18,6 @@ pub struct Policy {
     pub crates: BTreeMap<String, CratePolicy>,
     /// Entry points for the interprocedural rules (`[graph]` section).
     pub graph: GraphPolicy,
-    /// Entry points for the dataflow rules (`[dataflow]` section).
-    pub dataflow: DataflowPolicy,
     /// Entry points for the summary-backed rules (`[summary]` section).
     pub summary: SummaryPolicy,
 }
@@ -36,21 +34,9 @@ pub struct GraphPolicy {
     pub protocol_entries: Vec<String>,
     /// D008 roots: the shard-merge operations.
     pub merge_entries: Vec<String>,
-}
-
-/// Entry-point sets for the dataflow-backed rules (`[dataflow]`
-/// section). Same suffix-match semantics as [`GraphPolicy`]: an entry
-/// matching nothing is a hard configuration error, empty sets disable
-/// the rule.
-#[derive(Debug, Clone, Default)]
-pub struct DataflowPolicy {
-    /// D009 + D010 roots: the event-machine step implementations — no
-    /// blocking operation may be reachable, `swap_rng` must pair, and
-    /// per-machine RNG values must not reach shared `DataPlane` writes.
+    /// D009 roots: the event-machine step implementations — no blocking
+    /// operation may be reachable.
     pub step_entries: Vec<String>,
-    /// D011 roots: functions whose call trees feed the `sched` deadline
-    /// APIs — raw time values must pass the `Sim*` constructors.
-    pub time_entries: Vec<String>,
     /// D012 roots: the telemetry hot-path entry points — no allocation
     /// site may be reachable.
     pub hot_entries: Vec<String>,
@@ -127,9 +113,8 @@ impl Policy {
             (["graph"], "shard_entries") => self.graph.shard_entries = value,
             (["graph"], "protocol_entries") => self.graph.protocol_entries = value,
             (["graph"], "merge_entries") => self.graph.merge_entries = value,
-            (["dataflow"], "step_entries") => self.dataflow.step_entries = value,
-            (["dataflow"], "time_entries") => self.dataflow.time_entries = value,
-            (["dataflow"], "hot_entries") => self.dataflow.hot_entries = value,
+            (["graph"], "step_entries") => self.graph.step_entries = value,
+            (["graph"], "hot_entries") => self.graph.hot_entries = value,
             (["summary"], "lock_entries") => self.summary.lock_entries = value,
             (["summary"], "decode_entries") => self.summary.decode_entries = value,
             (["summary"], "identity_entries") => self.summary.identity_entries = value,
@@ -250,9 +235,8 @@ mod tests {
         [crates.bench]
         rules = []
 
-        [dataflow]
+        [graph]
         step_entries = ["StubMachine::on_event"]
-        time_entries = ["StubMachine::on_event", "generate_dot_traffic"]
         hot_entries = ["Registry::add"]
 
         [summary]
@@ -262,14 +246,10 @@ mod tests {
     "#;
 
     #[test]
-    fn dataflow_entry_sets_parse() {
+    fn step_and_hot_entry_sets_parse_under_graph() {
         let p = Policy::parse(SAMPLE).unwrap();
-        assert_eq!(p.dataflow.step_entries, vec!["StubMachine::on_event"]);
-        assert_eq!(
-            p.dataflow.time_entries,
-            vec!["StubMachine::on_event", "generate_dot_traffic"]
-        );
-        assert_eq!(p.dataflow.hot_entries, vec!["Registry::add"]);
+        assert_eq!(p.graph.step_entries, vec!["StubMachine::on_event"]);
+        assert_eq!(p.graph.hot_entries, vec!["Registry::add"]);
     }
 
     #[test]
@@ -310,5 +290,8 @@ mod tests {
     fn unknown_entries_are_rejected() {
         assert!(Policy::parse("[nonsense]\nrules = [\"D001\"]\n").is_err());
         assert!(Policy::parse("[default]\nrules = not-an-array\n").is_err());
+        // The retired `[dataflow]` section fails loudly instead of
+        // silently unrooting D009/D012.
+        assert!(Policy::parse("[dataflow]\nstep_entries = [\"M::on_event\"]\n").is_err());
     }
 }

@@ -12,27 +12,17 @@
 //! * **D008 float-accumulation hazard** — from the merge entry points,
 //!   no order-sensitive floating-point accumulation is reachable;
 //!   shard-merge results must not depend on shard layout.
-//!
-//! Plus the scheduler-era rules rooted at the `[dataflow]` section:
-//!
 //! * **D009 non-blocking step** — from the event-machine step entry
 //!   points, no blocking operation (sleeps, channel receives, real I/O,
 //!   lock-in-loop) is reachable; one stalled handler would skew every
 //!   virtual-time measurement behind it.
-//! * **D010 RNG confinement** — on functions reachable from the step
-//!   entry points, the dataflow pass's `swap_rng`-pairing and RNG-leak
-//!   findings (see [`crate::dataflow`]) become errors.
-//! * **D011 time-unit hygiene** — on functions reachable from the
-//!   time entry points, raw-time flows into `sched` deadline APIs
-//!   become errors.
 //! * **D012 hot-path allocation freedom** — from the telemetry hot-path
 //!   entry points, no allocation site is reachable.
 //!
 //! Every finding carries its full call chain (entry → … → hazard site)
-//! as evidence — dataflow findings additionally carry the def-use steps
-//! from taint source to sink — so a diagnostic is actionable without
-//! re-running the analysis by hand. BFS visits neighbours in sorted
-//! order over a deterministic graph, so chains are stable across runs.
+//! as evidence, so a diagnostic is actionable without re-running the
+//! analysis by hand. BFS visits neighbours in sorted order over a
+//! deterministic graph, so chains are stable across runs.
 //!
 //! Since v4 the hazard rules are *re-rooted on effect summaries* (see
 //! [`crate::summary`]): a rule's BFS only runs when some entry's
@@ -54,7 +44,7 @@
 
 use crate::graph::{CallGraph, FnNode};
 use crate::parser::HazardKind;
-use crate::policy::{DataflowPolicy, GraphPolicy, SummaryPolicy};
+use crate::policy::{GraphPolicy, SummaryPolicy};
 use crate::summary::{exempt, EffectSummary, Summaries};
 
 /// Why a finding fired, in effect-summary terms: which lattice bit
@@ -84,9 +74,6 @@ pub struct ChainFinding {
     /// Call chain as `fn (file:line)` hops, entry first, hazard fn last.
     /// For D013 the hops are the cycle's witness edges instead.
     pub chain: Vec<String>,
-    /// For dataflow rules: the def-use steps from source to sink. Empty
-    /// for hazard-site rules.
-    pub flow: Vec<String>,
     /// Effect-summary provenance.
     pub summary: Option<SummaryNote>,
 }
@@ -98,7 +85,6 @@ pub fn check(
     graph: &CallGraph,
     summaries: &Summaries,
     policy: &GraphPolicy,
-    dataflow: &DataflowPolicy,
     summary_pol: &SummaryPolicy,
 ) -> Result<Vec<ChainFinding>, String> {
     let mut out = Vec::new();
@@ -147,8 +133,8 @@ pub fn check(
              on shard layout — accumulate in integers or fold in sorted order",
         ));
     }
-    if !dataflow.step_entries.is_empty() {
-        let entries = resolve_entries(graph, &dataflow.step_entries, "[dataflow] step_entries")?;
+    if !policy.step_entries.is_empty() {
+        let entries = resolve_entries(graph, &policy.step_entries, "[graph] step_entries")?;
         out.extend(scan(
             graph,
             summaries,
@@ -162,32 +148,9 @@ pub fn check(
              step; a stalled handler skews every virtual-time measurement \
              behind it — model the wait as a scheduled event instead",
         ));
-        out.extend(flow_scan(
-            graph,
-            summaries,
-            &entries,
-            "D010",
-            "rng-escapes",
-            |s| s.rng_escapes,
-            "violates per-machine RNG confinement on an event-machine step \
-             path; shard outputs would depend on machine interleaving",
-        ));
     }
-    if !dataflow.time_entries.is_empty() {
-        let entries = resolve_entries(graph, &dataflow.time_entries, "[dataflow] time_entries")?;
-        out.extend(flow_scan(
-            graph,
-            summaries,
-            &entries,
-            "D011",
-            "raw-time",
-            |_| true, // raw-time flows are not a summary bit: always walk.
-            "feeds a unit-less time value to the scheduler on a path the \
-             virtual clock governs — construct it via SimInstant/SimDuration",
-        ));
-    }
-    if !dataflow.hot_entries.is_empty() {
-        let entries = resolve_entries(graph, &dataflow.hot_entries, "[dataflow] hot_entries")?;
+    if !policy.hot_entries.is_empty() {
+        let entries = resolve_entries(graph, &policy.hot_entries, "[graph] hot_entries")?;
         out.extend(scan(
             graph,
             summaries,
@@ -274,7 +237,6 @@ fn lock_order_scan(
             rule: "D013",
             message,
             chain: witnesses,
-            flow: Vec::new(),
             summary: Some(SummaryNote {
                 effect: "held-lock-set",
                 scc: summaries.per_fn[anchor.node].scc,
@@ -321,7 +283,6 @@ fn recursion_scan(
                 cycle.join(" -> ")
             ),
             chain,
-            flow: Vec::new(),
             summary: Some(SummaryNote {
                 effect: "max-self-recursion",
                 scc: summaries.per_fn[anchor].scc,
@@ -449,55 +410,6 @@ fn scan(
                     frames: chain.len(),
                 }),
                 chain,
-                flow: Vec::new(),
-            });
-        }
-    }
-    out
-}
-
-/// BFS from `entries`; emit one finding per dataflow flow (see
-/// [`crate::dataflow`]) of rule `rule` on a reached node. `bit` is the
-/// summary pre-filter, as in [`scan`].
-fn flow_scan(
-    graph: &CallGraph,
-    summaries: &Summaries,
-    entries: &[usize],
-    rule: &'static str,
-    effect: &'static str,
-    bit: impl Fn(&EffectSummary) -> bool,
-    why: &str,
-) -> Vec<ChainFinding> {
-    if !entries.iter().any(|&e| bit(&summaries.per_fn[e])) {
-        return Vec::new();
-    }
-    let (seen, pred) = bfs(graph, entries, false, |_| false);
-
-    let mut out = Vec::new();
-    for (i, node) in graph.nodes.iter().enumerate() {
-        if !seen[i] {
-            continue;
-        }
-        for fl in node.flows.iter().filter(|f| f.kind.rule() == rule) {
-            let chain = chain_to(graph, &pred, i);
-            let rendered = chain
-                .iter()
-                .map(String::as_str)
-                .collect::<Vec<_>>()
-                .join(" -> ");
-            let steps = fl.steps.join("; ");
-            out.push(ChainFinding {
-                file: node.file.clone(),
-                line: fl.line,
-                rule,
-                message: format!("{} — {why} [flow: {steps}] [chain: {rendered}]", fl.what),
-                summary: Some(SummaryNote {
-                    effect,
-                    scc: summaries.per_fn[i].scc,
-                    frames: chain.len(),
-                }),
-                chain,
-                flow: fl.steps.clone(),
             });
         }
     }
@@ -542,8 +454,7 @@ mod tests {
         let lexed = lex(src);
         let mask = test_mask(&lexed.toks);
         let module: Vec<String> = module.iter().map(|s| s.to_string()).collect();
-        let mut parsed = parse_file(&module, &lexed.toks, &mask);
-        crate::dataflow::analyze(&lexed.toks, &mut parsed);
+        let parsed = parse_file(&module, &lexed.toks, &mask);
         SourceItems {
             crate_key: "a".to_string(),
             crate_name: "a".to_string(),
@@ -559,15 +470,16 @@ mod tests {
             shard_entries: v(shard),
             protocol_entries: v(proto),
             merge_entries: v(merge),
+            ..GraphPolicy::default()
         }
     }
 
-    fn dp(step: &[&str], time: &[&str], hot: &[&str]) -> crate::policy::DataflowPolicy {
+    fn step_hot(step: &[&str], hot: &[&str]) -> GraphPolicy {
         let v = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect();
-        crate::policy::DataflowPolicy {
+        GraphPolicy {
             step_entries: v(step),
-            time_entries: v(time),
             hot_entries: v(hot),
+            ..GraphPolicy::default()
         }
     }
 
@@ -583,28 +495,18 @@ mod tests {
     fn full_check(
         g: &CallGraph,
         gpol: &GraphPolicy,
-        dpol: &DataflowPolicy,
         spol: &SummaryPolicy,
     ) -> Result<Vec<ChainFinding>, String> {
         let summaries = crate::summary::compute(g);
-        super::check(g, &summaries, gpol, dpol, spol)
+        super::check(g, &summaries, gpol, spol)
     }
 
     fn check(g: &CallGraph, gpol: &GraphPolicy) -> Result<Vec<ChainFinding>, String> {
-        full_check(
-            g,
-            gpol,
-            &DataflowPolicy::default(),
-            &SummaryPolicy::default(),
-        )
-    }
-
-    fn dcheck(g: &CallGraph, dpol: &DataflowPolicy) -> Result<Vec<ChainFinding>, String> {
-        full_check(g, &GraphPolicy::default(), dpol, &SummaryPolicy::default())
+        full_check(g, gpol, &SummaryPolicy::default())
     }
 
     fn scheck(g: &CallGraph, spol: &SummaryPolicy) -> Result<Vec<ChainFinding>, String> {
-        full_check(g, &GraphPolicy::default(), &DataflowPolicy::default(), spol)
+        full_check(g, &GraphPolicy::default(), spol)
     }
 
     #[test]
@@ -683,10 +585,10 @@ mod tests {
     }
 
     #[test]
-    fn stale_dataflow_entry_is_a_hard_error() {
+    fn stale_step_entry_is_a_hard_error() {
         let g = build(&[items(&[], "pub fn entry() {}")]);
-        let err = dcheck(&g, &dp(&["a::gone"], &[], &[])).unwrap_err();
-        assert!(err.contains("[dataflow] step_entries"), "{err}");
+        let err = check(&g, &step_hot(&["a::gone"], &[])).unwrap_err();
+        assert!(err.contains("[graph] step_entries"), "{err}");
         assert!(err.contains("gone"));
     }
 
@@ -701,7 +603,7 @@ mod tests {
             fn unrelated() { std::thread::sleep(core::time::Duration::from_millis(1)); }
         "#;
         let g = build(&[items(&[], src)]);
-        let f = dcheck(&g, &dp(&["M::on_event"], &[], &[])).unwrap();
+        let f = check(&g, &step_hot(&["M::on_event"], &[])).unwrap();
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "D009");
         assert!(f[0].message.contains("thread::sleep"));
@@ -721,57 +623,12 @@ mod tests {
             }
         "#;
         let g = build(&[items(&[], src)]);
-        let f = dcheck(&g, &dp(&["M::on_event"], &[], &[])).unwrap();
+        let f = check(&g, &step_hot(&["M::on_event"], &[])).unwrap();
         assert!(
             f.iter()
                 .any(|x| x.rule == "D009" && x.message.contains("lock() in loop")),
             "{f:?}"
         );
-    }
-
-    #[test]
-    fn raw_time_flow_reachable_from_time_entry_is_d011() {
-        let src = r#"
-            pub fn runner(net: &mut Net) { emit(net); }
-            fn emit(net: &mut Net) {
-                let delay = 500;
-                net.schedule_after(delay, Event::Tick);
-            }
-            fn dormant(net: &mut Net) {
-                let delay = 500;
-                net.schedule_after(delay, Event::Tick);
-            }
-        "#;
-        let g = build(&[items(&[], src)]);
-        let f = dcheck(&g, &dp(&[], &["a::runner"], &[])).unwrap();
-        // Only the reachable copy of the flow is reported.
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "D011");
-        assert!(!f[0].flow.is_empty());
-        assert!(f[0]
-            .flow
-            .iter()
-            .any(|s| s.contains("`delay` bound from integer literal")));
-        assert!(f[0].message.contains("[flow:"));
-    }
-
-    #[test]
-    fn unbalanced_swap_reachable_from_step_is_d010() {
-        let src = r#"
-            pub struct M;
-            impl M {
-                pub fn on_event(&mut self, net: &mut Net) {
-                    net.swap_rng(&mut self.rng);
-                    self.step();
-                }
-                fn step(&mut self) {}
-            }
-        "#;
-        let g = build(&[items(&[], src)]);
-        let f = dcheck(&g, &dp(&["M::on_event"], &[], &[])).unwrap();
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "D010");
-        assert!(f[0].flow.iter().any(|s| s.contains("swap_rng")));
     }
 
     #[test]
@@ -784,7 +641,7 @@ mod tests {
             }
         "#;
         let g = build(&[items(&[], src)]);
-        let f = dcheck(&g, &dp(&[], &[], &["Registry::add"])).unwrap();
+        let f = check(&g, &step_hot(&[], &["Registry::add"])).unwrap();
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "D012");
         assert!(f[0].message.contains("format!"));

@@ -3,13 +3,12 @@
 //! JSON is hand-rolled (the analyzer is dependency-free); the schema is
 //! stable so `scripts/verify.sh` can archive reports under `results/`
 //! and diff them across runs. Schema version 2 added the `chain` field:
-//! interprocedural findings (D006–D012) carry the call chain from an
+//! interprocedural findings (D006–D015) carry the call chain from an
 //! entry point to the hazard site as evidence. Version 3 added the
-//! `flow` field: dataflow findings (D010/D011) additionally carry the
-//! intraprocedural def-use steps from taint source to sink, in order.
-//! `flow` is present on every finding (empty for non-dataflow rules) so
-//! consumers never branch on key existence. Version 4 adds, per
-//! finding:
+//! `flow` field for the intraprocedural def-use rules; those rules are
+//! retired (the types they checked now enforce the same invariants), and
+//! `flow` stays on every finding as an empty array so v4 consumers never
+//! branch on key existence. Version 4 adds, per finding:
 //!
 //! * `"fingerprint"` — a stable identity (`rule|file|entry|site`) built
 //!   from line-number-free chain endpoints, so `--baseline` diffs
@@ -33,11 +32,6 @@ pub fn human(report: &Report) -> String {
             for (i, hop) in f.chain.iter().enumerate() {
                 let arrow = if i == 0 { "entry" } else { "  via" };
                 let _ = writeln!(out, "    {arrow} {hop}");
-            }
-        }
-        if !f.flow.is_empty() {
-            for step in &f.flow {
-                let _ = writeln!(out, "    flow {step}");
             }
         }
     }
@@ -99,12 +93,7 @@ pub fn json(report: &Report) -> String {
             let sep = if j == 0 { "" } else { ", " };
             let _ = write!(out, "{sep}\"{}\"", esc(hop));
         }
-        out.push_str("], \"flow\": [");
-        for (j, step) in f.flow.iter().enumerate() {
-            let sep = if j == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}\"{}\"", esc(step));
-        }
-        out.push_str("], \"summary\": ");
+        out.push_str("], \"flow\": [], \"summary\": ");
         match &f.summary {
             Some(n) => {
                 let _ = write!(
@@ -224,7 +213,6 @@ mod tests {
                 message: "a \"quoted\" message".to_string(),
                 severity: Severity::Error,
                 chain: Vec::new(),
-                flow: Vec::new(),
                 summary: None,
             }],
             suppressed: Vec::new(),
@@ -255,7 +243,6 @@ mod tests {
                     "a::entry (crates/a/src/lib.rs:1)".to_string(),
                     "a::leaf (crates/a/src/lib.rs:5)".to_string(),
                 ],
-                flow: Vec::new(),
                 summary: None,
             }],
             suppressed: Vec::new(),
@@ -269,34 +256,6 @@ mod tests {
         assert!(j.contains("\"flow\": []"));
     }
 
-    #[test]
-    fn flows_render_in_both_formats() {
-        let report = Report {
-            findings: vec![Finding {
-                file: "crates/x/src/gen.rs".to_string(),
-                line: 12,
-                rule: "D011".to_string(),
-                message: "integer literal reaches `schedule_after`".to_string(),
-                severity: Severity::Error,
-                chain: vec!["a::emit (crates/x/src/gen.rs:10)".to_string()],
-                flow: vec![
-                    "`ms` bound from integer literal (line 11)".to_string(),
-                    "`ms` flows into `schedule_after` deadline argument (line 12)".to_string(),
-                ],
-                summary: None,
-            }],
-            suppressed: Vec::new(),
-            files_scanned: 1,
-        };
-        let h = human(&report);
-        assert!(h.contains("flow `ms` bound from integer literal (line 11)"));
-        let j = json(&report);
-        assert!(j.contains(
-            "\"flow\": [\"`ms` bound from integer literal (line 11)\", \
-             \"`ms` flows into `schedule_after` deadline argument (line 12)\"]"
-        ));
-    }
-
     fn chained(line: u32, chain: &[&str]) -> Finding {
         Finding {
             file: "crates/x/src/lib.rs".to_string(),
@@ -305,7 +264,6 @@ mod tests {
             message: "can panic".to_string(),
             severity: Severity::Error,
             chain: chain.iter().map(|s| s.to_string()).collect(),
-            flow: Vec::new(),
             summary: None,
         }
     }

@@ -45,14 +45,6 @@ pub const RULES: &[(&str, &str)] = &[
         "no blocking operation reachable from event-machine step entry points",
     ),
     (
-        "D010",
-        "per-machine RNG confined: swap_rng paired, no flow into shared DataPlane",
-    ),
-    (
-        "D011",
-        "no raw time value into sched deadline APIs outside Sim* constructors",
-    ),
-    (
         "D012",
         "no allocation site reachable from telemetry hot-path entry points",
     ),

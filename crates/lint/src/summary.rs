@@ -2,8 +2,8 @@
 //!
 //! Every function gets an [`EffectSummary`] — a point in a finite
 //! join-semilattice {panics, allocates, blocks, reads-wall-clock,
-//! mutates-shared-dataplane, rng-escapes, reads-shard-identity,
-//! held-lock-set, max-self-recursion} — computed callee-first over the
+//! mutates-shared-dataplane, reads-shard-identity, held-lock-set,
+//! max-self-recursion} — computed callee-first over the
 //! call graph's SCC condensation:
 //!
 //! 1. Tarjan over **all** edges yields the condensation in reverse
@@ -46,9 +46,6 @@ pub struct EffectSummary {
     /// A shared-state mutation is reachable outside the `ShardCtx`
     /// boundary.
     pub mutates_shared: bool,
-    /// An RNG-confinement dataflow finding (D010) sits on a reachable
-    /// function.
-    pub rng_escapes: bool,
     /// A shard/worker/thread identity value is read on a reachable
     /// function.
     pub shard_ident: bool,
@@ -105,7 +102,6 @@ pub fn compute(graph: &CallGraph) -> Summaries {
                     s.allocates |= callee.allocates;
                     s.blocks |= callee.blocks;
                     s.wall_clock |= callee.wall_clock;
-                    s.rng_escapes |= callee.rng_escapes;
                     s.shard_ident |= callee.shard_ident;
                     if !exempt(&graph.nodes[v]) {
                         s.mutates_shared |= callee.mutates_shared;
@@ -175,7 +171,6 @@ fn local_bits(node: &FnNode) -> EffectSummary {
         }
     }
     s.wall_clock = node.wall_clock;
-    s.rng_escapes = node.flows.iter().any(|f| f.kind.rule() == "D010");
     for site in &node.lock_sites {
         if !s.lock_set.contains(&site.id) {
             s.lock_set.insert(site.id.clone());
@@ -268,8 +263,7 @@ mod tests {
         let lexed = lex(src);
         let mask = test_mask(&lexed.toks);
         let module: Vec<String> = Vec::new();
-        let mut parsed = parse_file(&module, &lexed.toks, &mask);
-        crate::dataflow::analyze(&lexed.toks, &mut parsed);
+        let parsed = parse_file(&module, &lexed.toks, &mask);
         build(&[SourceItems {
             crate_key: "a".to_string(),
             crate_name: "a".to_string(),

@@ -1,4 +1,4 @@
-//! Dataflow fixture: the step models its wait as a scheduled event and
+//! Graph fixture: the step models its wait as a scheduled event and
 //! only computes — nothing blocks the dispatch loop.
 pub struct Sched {
     pub deadline: u64,

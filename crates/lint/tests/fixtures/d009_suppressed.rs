@@ -1,4 +1,4 @@
-//! Dataflow fixture: the blocking call carries a justified pragma.
+//! Graph fixture: the blocking call carries a justified pragma.
 use std::sync::mpsc::Receiver;
 
 fn drain(rx: &Receiver<u64>) -> Option<u64> {

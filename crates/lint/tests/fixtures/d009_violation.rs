@@ -1,4 +1,4 @@
-//! Dataflow fixture: an event-machine step blocks the calling thread
+//! Graph fixture: an event-machine step blocks the calling thread
 //! two calls down — the stall skews every virtual-time measurement
 //! scheduled behind it.
 use std::time::Duration;

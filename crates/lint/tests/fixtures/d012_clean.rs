@@ -1,4 +1,4 @@
-//! Dataflow fixture: the hot path only indexes pre-sized storage.
+//! Graph fixture: the hot path only indexes pre-sized storage.
 pub struct Hist {
     buckets: [u64; 8],
 }

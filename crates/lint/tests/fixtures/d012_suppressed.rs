@@ -1,4 +1,4 @@
-//! Dataflow fixture: the allocation carries a justified pragma.
+//! Graph fixture: the allocation carries a justified pragma.
 fn snapshot(buckets: &[u64]) -> Vec<u64> {
     // doe-lint: allow(D012) — fixture: cold slow-path taken once per
     // epoch rollover, never per probe

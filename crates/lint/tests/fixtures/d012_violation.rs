@@ -1,4 +1,4 @@
-//! Dataflow fixture: the telemetry hot path allocates — a heap round
+//! Graph fixture: the telemetry hot path allocates — a heap round
 //! trip per probe destroys the alloc-free ~23 ns budget.
 fn label(id: u64) -> String {
     format!("probe-{id}")

@@ -1,14 +1,14 @@
 //! Fixture-based self-tests for the determinism analyzer.
 //!
 //! Each token rule gets three fixtures — violating, clean, and
-//! pragma-suppressed — and the call-graph rules (D006–D008), the
-//! dataflow rules (D009–D012) and the effect-summary rules (D013–D015)
-//! get the same triple driven through the whole-workspace `analyze`
-//! entry point. On top of that: pragma hygiene (including stale pragmas
-//! as P004 errors), `lint.toml` scoping, byte-determinism of the
-//! exported call graph, v4 report and SARIF export, and meta-tests
-//! asserting the live workspace satisfies its own contract and that the
-//! summary fixpoint covers every function in the graph.
+//! pragma-suppressed — and the call-graph rules (D006–D009, D012) and
+//! the effect-summary rules (D013–D015) get the same triple driven
+//! through the whole-workspace `analyze` entry point. On top of that:
+//! pragma hygiene (including stale pragmas as P004 errors), `lint.toml`
+//! scoping, byte-determinism of the exported call graph, v4 report and
+//! SARIF export, and meta-tests asserting the live workspace satisfies
+//! its own contract and that the summary fixpoint covers every function
+//! in the graph.
 
 use doe_lint::policy::Policy;
 use doe_lint::{
@@ -115,7 +115,8 @@ fn d005_narrowing_casts() {
 
 // ---------------------------------------------------------------------
 // Call-graph rules: fixtures run through the whole-workspace `analyze`
-// entry point with the fixture file standing in as a one-crate workspace.
+// entry point with the fixture file standing in as a one-crate
+// workspace, rooted at the `[graph]` entry set the rule reads.
 
 fn analyze_policy_fixture(src: &str, policy: &Policy) -> Analysis {
     let files = vec![LoadedFile {
@@ -140,17 +141,26 @@ fn analyze_fixture(src: &str, shard: &[&str], proto: &[&str], merge: &[&str]) ->
     analyze_policy_fixture(src, &policy)
 }
 
-fn assert_graph_triple(rule: &str, entry: &[&str], violation: &str, clean: &str, suppressed: &str) {
-    let pick = |r: &str| -> (Vec<&str>, Vec<&str>, Vec<&str>) {
-        match r {
-            "D006" => (entry.to_vec(), Vec::new(), Vec::new()),
-            "D007" => (Vec::new(), entry.to_vec(), Vec::new()),
-            _ => (Vec::new(), Vec::new(), entry.to_vec()),
-        }
+/// A policy rooting only `rule`'s `[graph]` entry set, at `entry`.
+fn graph_policy(rule: &str, entry: &[&str]) -> Policy {
+    let mut policy = Policy::default();
+    let g = &mut policy.graph;
+    let set = match rule {
+        "D006" => &mut g.shard_entries,
+        "D007" => &mut g.protocol_entries,
+        "D008" => &mut g.merge_entries,
+        "D009" => &mut g.step_entries,
+        "D012" => &mut g.hot_entries,
+        other => panic!("{other} is not a [graph] rule"),
     };
-    let (s, p, m) = pick(rule);
+    *set = entry.iter().map(|s| s.to_string()).collect();
+    policy
+}
 
-    let v = analyze_fixture(violation, &s, &p, &m).report;
+fn assert_graph_triple(rule: &str, entry: &[&str], violation: &str, clean: &str, suppressed: &str) {
+    let policy = graph_policy(rule, entry);
+
+    let v = analyze_policy_fixture(violation, &policy).report;
     assert!(
         !v.findings.is_empty(),
         "{rule}: violation fixture produced no findings"
@@ -170,14 +180,14 @@ fn assert_graph_triple(rule: &str, entry: &[&str], violation: &str, clean: &str,
         v.findings
     );
 
-    let c = analyze_fixture(clean, &s, &p, &m).report;
+    let c = analyze_policy_fixture(clean, &policy).report;
     assert!(
         c.findings.is_empty(),
         "{rule}: clean fixture produced findings: {:?}",
         c.findings
     );
 
-    let sup = analyze_fixture(suppressed, &s, &p, &m).report;
+    let sup = analyze_policy_fixture(suppressed, &policy).report;
     assert!(
         sup.findings.is_empty(),
         "{rule}: suppressed fixture still has findings: {:?}",
@@ -223,84 +233,9 @@ fn d008_float_accumulation_on_merge_paths() {
     );
 }
 
-// ---------------------------------------------------------------------
-// Dataflow rules (D009–D012): same triple shape, rooted at the
-// `[dataflow]` entry sets. `flow_rule` says whether the finding must
-// carry intraprocedural def-use evidence (D010/D011) or is a reachable
-// hazard with a call chain only (D009/D012).
-
-fn analyze_dataflow_fixture(src: &str, step: &[&str], time: &[&str], hot: &[&str]) -> Analysis {
-    let mut policy = Policy::default();
-    policy.dataflow.step_entries = step.iter().map(|s| s.to_string()).collect();
-    policy.dataflow.time_entries = time.iter().map(|s| s.to_string()).collect();
-    policy.dataflow.hot_entries = hot.iter().map(|s| s.to_string()).collect();
-    analyze_policy_fixture(src, &policy)
-}
-
-fn assert_dataflow_triple(
-    rule: &str,
-    entry: &[&str],
-    violation: &str,
-    clean: &str,
-    suppressed: &str,
-) {
-    let pick = |r: &str| -> (Vec<&str>, Vec<&str>, Vec<&str>) {
-        match r {
-            "D009" | "D010" => (entry.to_vec(), Vec::new(), Vec::new()),
-            "D011" => (Vec::new(), entry.to_vec(), Vec::new()),
-            _ => (Vec::new(), Vec::new(), entry.to_vec()),
-        }
-    };
-    let (s, t, h) = pick(rule);
-    let flow_rule = matches!(rule, "D010" | "D011");
-
-    let v = analyze_dataflow_fixture(violation, &s, &t, &h).report;
-    assert!(
-        !v.findings.is_empty(),
-        "{rule}: violation fixture produced no findings"
-    );
-    assert!(
-        v.findings.iter().all(|f| f.rule == rule),
-        "{rule}: violation fixture tripped other rules: {:?}",
-        v.findings
-    );
-    assert!(
-        v.findings
-            .iter()
-            .all(|f| !f.chain.is_empty()
-                && f.chain[0].contains(entry[0].rsplit("::").next().unwrap())),
-        "{rule}: finding lacks a chain rooted at the entry: {:?}",
-        v.findings
-    );
-    assert!(
-        v.findings.iter().all(|f| f.flow.is_empty() != flow_rule),
-        "{rule}: def-use flow evidence mismatch (expected flow: {flow_rule}): {:?}",
-        v.findings
-    );
-
-    let c = analyze_dataflow_fixture(clean, &s, &t, &h).report;
-    assert!(
-        c.findings.is_empty(),
-        "{rule}: clean fixture produced findings: {:?}",
-        c.findings
-    );
-
-    let sup = analyze_dataflow_fixture(suppressed, &s, &t, &h).report;
-    assert!(
-        sup.findings.is_empty(),
-        "{rule}: suppressed fixture still has findings: {:?}",
-        sup.findings
-    );
-    assert!(
-        sup.suppressed.iter().any(|x| x.rule == rule),
-        "{rule}: suppressed fixture recorded no {rule} suppression: {:?}",
-        sup.suppressed
-    );
-}
-
 #[test]
 fn d009_blocking_in_event_step() {
-    assert_dataflow_triple(
+    assert_graph_triple(
         "D009",
         &["fixture_lib::on_event"],
         include_str!("fixtures/d009_violation.rs"),
@@ -310,30 +245,8 @@ fn d009_blocking_in_event_step() {
 }
 
 #[test]
-fn d010_rng_confinement() {
-    assert_dataflow_triple(
-        "D010",
-        &["fixture_lib::on_event"],
-        include_str!("fixtures/d010_violation.rs"),
-        include_str!("fixtures/d010_clean.rs"),
-        include_str!("fixtures/d010_suppressed.rs"),
-    );
-}
-
-#[test]
-fn d011_raw_time_into_deadline() {
-    assert_dataflow_triple(
-        "D011",
-        &["fixture_lib::emit"],
-        include_str!("fixtures/d011_violation.rs"),
-        include_str!("fixtures/d011_clean.rs"),
-        include_str!("fixtures/d011_suppressed.rs"),
-    );
-}
-
-#[test]
 fn d012_hot_path_allocation() {
-    assert_dataflow_triple(
+    assert_graph_triple(
         "D012",
         &["fixture_lib::observe"],
         include_str!("fixtures/d012_violation.rs"),
@@ -508,32 +421,10 @@ fn stale_summary_entry_is_a_configuration_error() {
     );
 }
 
-/// D011 findings narrate the whole def-use path: the tainted binding,
-/// then the sink, in source order.
 #[test]
-fn d011_flow_reports_every_step() {
-    let report = analyze_dataflow_fixture(
-        include_str!("fixtures/d011_violation.rs"),
-        &[],
-        &["fixture_lib::emit"],
-        &[],
-    )
-    .report;
-    let f = &report.findings[0];
-    assert_eq!(f.rule, "D011");
-    assert_eq!(f.flow.len(), 2, "flow should have two steps: {:?}", f.flow);
-    assert!(f.flow[0].contains("`delay`"), "{:?}", f.flow);
-    assert!(
-        f.flow[1].contains("`schedule_after` deadline argument"),
-        "{:?}",
-        f.flow
-    );
-}
-
-#[test]
-fn stale_dataflow_entry_is_a_configuration_error() {
+fn stale_hot_entry_is_a_configuration_error() {
     let mut policy = Policy::default();
-    policy.dataflow.hot_entries = vec!["fixture_lib::renamed_or_removed".to_string()];
+    policy.graph.hot_entries = vec!["fixture_lib::renamed_or_removed".to_string()];
     let files = vec![LoadedFile {
         file: SourceFile {
             crate_key: "fixture".to_string(),
@@ -771,7 +662,7 @@ fn workspace_policy(root: &Path) -> Policy {
 }
 
 /// The meta-test: the live workspace must satisfy its own contract —
-/// token rules *and* the interprocedural D006/D007/D008 — and every
+/// token rules *and* the interprocedural D006–D015 — and every
 /// recorded suppression must carry a justification.
 #[test]
 fn workspace_lints_clean() {
@@ -780,14 +671,10 @@ fn workspace_lints_clean() {
     assert!(
         !policy.graph.shard_entries.is_empty()
             && !policy.graph.protocol_entries.is_empty()
-            && !policy.graph.merge_entries.is_empty(),
+            && !policy.graph.merge_entries.is_empty()
+            && !policy.graph.step_entries.is_empty()
+            && !policy.graph.hot_entries.is_empty(),
         "the workspace policy must keep the interprocedural rules rooted"
-    );
-    assert!(
-        !policy.dataflow.step_entries.is_empty()
-            && !policy.dataflow.time_entries.is_empty()
-            && !policy.dataflow.hot_entries.is_empty(),
-        "the workspace policy must keep the dataflow rules rooted"
     );
     assert!(
         !policy.summary.lock_entries.is_empty()

@@ -613,6 +613,32 @@ impl Network {
     /// Schedule a typed event for `machine` (a dense per-shard index)
     /// `delay` after the current virtual time. Returns the sequence
     /// number that breaks ties at equal instants.
+    ///
+    /// The delay must be a [`SimDuration`], whose constructors name the
+    /// unit:
+    ///
+    /// ```
+    /// # use netsim::{Network, NetworkConfig, SchedEvent, SimDuration};
+    /// let mut net = Network::new(NetworkConfig::default(), 1);
+    /// net.schedule_after(SimDuration::from_millis(5), 0, SchedEvent::Timer { token: 0 });
+    /// ```
+    ///
+    /// A bare integer does not compile:
+    ///
+    /// ```compile_fail
+    /// # use netsim::{Network, NetworkConfig, SchedEvent};
+    /// let mut net = Network::new(NetworkConfig::default(), 1);
+    /// net.schedule_after(500, 0, SchedEvent::Timer { token: 0 });
+    /// ```
+    ///
+    /// Nor does a wall-clock `std::time::Duration`:
+    ///
+    /// ```compile_fail
+    /// # use netsim::{Network, NetworkConfig, SchedEvent};
+    /// let mut net = Network::new(NetworkConfig::default(), 1);
+    /// let delay = std::time::Duration::from_millis(5);
+    /// net.schedule_after(delay, 0, SchedEvent::Timer { token: 0 });
+    /// ```
     pub fn schedule_after(&mut self, delay: SimDuration, machine: u64, event: SchedEvent) -> u64 {
         let at = self.shard.now + delay;
         self.shard.sched.schedule(at, machine, event)
@@ -620,6 +646,23 @@ impl Network {
 
     /// Schedule a typed event at an absolute instant, clamped to the
     /// current virtual time (events never fire in the past).
+    ///
+    /// The instant must be a [`SimInstant`]:
+    ///
+    /// ```
+    /// # use netsim::{Network, NetworkConfig, SchedEvent, SimDuration};
+    /// let mut net = Network::new(NetworkConfig::default(), 1);
+    /// let at = net.now() + SimDuration::from_micros(500);
+    /// net.schedule_at(at, 0, SchedEvent::Timer { token: 0 });
+    /// ```
+    ///
+    /// A bare integer does not compile:
+    ///
+    /// ```compile_fail
+    /// # use netsim::{Network, NetworkConfig, SchedEvent};
+    /// let mut net = Network::new(NetworkConfig::default(), 1);
+    /// net.schedule_at(500, 0, SchedEvent::Timer { token: 0 });
+    /// ```
     pub fn schedule_at(&mut self, at: SimInstant, machine: u64, event: SchedEvent) -> u64 {
         let at = at.max(self.shard.now);
         self.shard.sched.schedule(at, machine, event)
@@ -664,13 +707,17 @@ impl Network {
         }
     }
 
-    /// Swap the shard RNG with a machine-owned stream. Event machines
-    /// wrap every network operation in a swap pair so each client draws
-    /// from its own `mix_seed(salt, client_index)` stream no matter how
+    /// Run `f` with `rng` standing in for the shard RNG, then put the
+    /// shard stream back, whichever way `f` returns. Event machines wrap
+    /// every network operation in this scope so each client draws from
+    /// its own `mix_seed(salt, client_index)` stream no matter how
     /// machines interleave on the heap — the bit-identity contract from
     /// the per-client loops, preserved under event-driven execution.
-    pub fn swap_rng(&mut self, rng: &mut SmallRng) {
+    pub fn with_rng<R>(&mut self, rng: &mut SmallRng, f: impl FnOnce(&mut Network) -> R) -> R {
         std::mem::swap(&mut self.shard.rng, rng);
+        let out = f(self);
+        std::mem::swap(&mut self.shard.rng, rng);
+        out
     }
 
     /// The geo database.
@@ -1869,5 +1916,66 @@ mod tests {
                 "junk-silent",
             )),
         });
+    }
+
+    /// Draw `n` values from the network's current RNG.
+    fn draws(net: &mut Network, n: usize) -> Vec<u64> {
+        (0..n).map(|_| net.rng().gen()).collect()
+    }
+
+    #[test]
+    fn with_rng_scopes_the_machine_stream() {
+        let mut net = Network::new(NetworkConfig::default(), 1);
+        net.reseed(41);
+        let mut shard_ref = SmallRng::seed_from_u64(41);
+        let mut machine_ref = SmallRng::seed_from_u64(7);
+        let mut machine = SmallRng::seed_from_u64(7);
+
+        assert_eq!(
+            draws(&mut net, 2),
+            [shard_ref.gen::<u64>(), shard_ref.gen()]
+        );
+        // Inside the scope every draw comes from the machine stream.
+        let inside = net.with_rng(&mut machine, |net| draws(net, 3));
+        let expected: Vec<u64> = (0..3).map(|_| machine_ref.gen()).collect();
+        assert_eq!(inside, expected);
+        // The shard stream resumes exactly where it stopped...
+        assert_eq!(draws(&mut net, 1), [shard_ref.gen::<u64>()]);
+        // ...and the machine stream advanced by exactly the scope's draws.
+        assert_eq!(machine.gen::<u64>(), machine_ref.gen::<u64>());
+    }
+
+    #[test]
+    fn with_rng_restores_on_early_return() {
+        fn attempt(net: &mut Network, i: u32) -> Result<(), u32> {
+            let _: u64 = net.rng().gen();
+            if i == 1 {
+                Err(i)
+            } else {
+                Ok(())
+            }
+        }
+        let mut net = Network::new(NetworkConfig::default(), 1);
+        net.reseed(42);
+        let mut shard_ref = SmallRng::seed_from_u64(42);
+        let mut machine_ref = SmallRng::seed_from_u64(9);
+        let mut machine = SmallRng::seed_from_u64(9);
+
+        // The closure leaves through `?` after two draws.
+        let out: Result<(), u32> = net.with_rng(&mut machine, |net| {
+            for i in 0..4 {
+                attempt(net, i)?;
+            }
+            Ok(())
+        });
+        assert_eq!(out, Err(1));
+        assert_eq!(
+            draws(&mut net, 2),
+            [shard_ref.gen::<u64>(), shard_ref.gen()]
+        );
+        for _ in 0..2 {
+            let _: u64 = machine_ref.gen();
+        }
+        assert_eq!(machine.gen::<u64>(), machine_ref.gen::<u64>());
     }
 }

@@ -224,8 +224,8 @@ impl Scheduler {
 /// A client state machine driven by scheduled events. Implementations
 /// perform one bounded step per event and schedule their successors via
 /// [`Network::schedule_after`]; per-client determinism comes from a
-/// machine-owned RNG swapped in around network operations
-/// ([`Network::swap_rng`]).
+/// machine-owned RNG installed for the duration of each network
+/// operation ([`Network::with_rng`]).
 pub trait EventMachine {
     /// Handle one fired event addressed to this machine.
     fn on_event(&mut self, net: &mut Network, fired: Fired);

@@ -6,11 +6,12 @@
 //! the unpadded baseline.
 //!
 //! Determinism: a flow is the unit of work. Each flow seeds its own RNG
-//! from `mix_seed(salt, flow_index)`, swaps it into its shard's network
-//! around every session operation, and uses fresh clients, so a flow's
-//! observation depends on its index alone — never on which shard ran it
-//! or what ran before it. The merge is a sort by `(policy, domain,
-//! sample)`, so the report is bit-identical for any shard count.
+//! from `mix_seed(salt, flow_index)`, installs it in its shard's network
+//! for every session operation (`Network::with_rng`), and uses fresh
+//! clients, so a flow's observation depends on its index alone — never
+//! on which shard ran it or what ran before it. The merge is a sort by
+//! `(policy, domain, sample)`, so the report is bit-identical for any
+//! shard count.
 
 use crate::classifier::{evaluate_closed_world, LabeledTrace};
 use crate::sequence::MessageSequence;
@@ -133,13 +134,13 @@ fn run_flow(
     let plan = workload::sample_plan(domain, sample);
 
     let mut rng = SmallRng::seed_from_u64(mix_seed(salt, flow));
-    worker.swap_rng(&mut rng);
-    let observed = if is_doh_sample(sample) {
-        workload::run_doh_flow(worker, &world.store, leg, &plan)
-    } else {
-        workload::run_dot_flow(worker, &world.store, leg, &plan)
-    };
-    worker.swap_rng(&mut rng);
+    let observed = worker.with_rng(&mut rng, |worker| {
+        if is_doh_sample(sample) {
+            workload::run_doh_flow(worker, &world.store, leg, &plan)
+        } else {
+            workload::run_dot_flow(worker, &world.store, leg, &plan)
+        }
+    });
     // The world is self-built and closed: a transport error here is an
     // experiment bug, not a measurement outcome.
     let (tap, thinks) = observed.expect("privacy flow failed against self-built resolver");

@@ -138,8 +138,16 @@ enum PerfSession {
 
 /// One client's measurement as an event-driven state machine. Owns its
 /// RNG stream (`mix_seed(salt, ci)`, the same stream the per-client loop
-/// used) and swaps it into the network around every step.
+/// used) and installs it in the network for every step. The stream sits
+/// beside the state the step mutates, so [`Network::with_rng`] can lend
+/// the one while the step borrows the other.
 struct PerfMachine {
+    rng: SmallRng,
+    state: PerfState,
+}
+
+/// Everything a [`PerfMachine`] step reads and writes besides its RNG.
+struct PerfState {
     /// Dense per-shard heap address.
     index: u64,
     /// Global client index (merge key).
@@ -147,7 +155,6 @@ struct PerfMachine {
     client: ClientInfo,
     setup: Arc<PerfSetup>,
     ids: PerfMetricIds,
-    rng: SmallRng,
     serial: u64,
     qdone: u32,
     phase: PerfPhase,
@@ -174,35 +181,40 @@ impl PerfMachine {
     ) -> PerfMachine {
         let queries = setup.queries as usize;
         PerfMachine {
-            index,
-            ci,
-            client,
-            setup,
-            ids,
             rng: SmallRng::seed_from_u64(rng_seed),
-            serial: 0,
-            qdone: 0,
-            phase: PerfPhase::ConnectDns,
-            session: PerfSession::None,
-            dot_client: None,
-            doh_client: None,
-            dns_samples: Vec::with_capacity(queries),
-            dot_samples: Vec::with_capacity(queries),
-            doh_samples: Vec::with_capacity(queries),
-            result: None,
+            state: PerfState {
+                index,
+                ci,
+                client,
+                setup,
+                ids,
+                serial: 0,
+                qdone: 0,
+                phase: PerfPhase::ConnectDns,
+                session: PerfSession::None,
+                dot_client: None,
+                doh_client: None,
+                dns_samples: Vec::with_capacity(queries),
+                dot_samples: Vec::with_capacity(queries),
+                doh_samples: Vec::with_capacity(queries),
+                result: None,
+            },
         }
     }
 
     /// Schedule the machine's first step.
     fn start(&mut self, net: &mut Network) {
-        self.serial = self.ci as u64 * 3 * self.setup.queries as u64;
+        let state = &mut self.state;
+        state.serial = state.ci as u64 * 3 * state.setup.queries as u64;
         net.schedule_after(
             SimDuration::ZERO,
-            self.index,
+            state.index,
             SchedEvent::Timer { token: 0 },
         );
     }
+}
 
+impl PerfState {
     fn next_query(&mut self) -> dnswire::Message {
         self.serial += 1;
         let serial = self.serial;
@@ -364,26 +376,25 @@ impl PerfMachine {
 
 impl EventMachine for PerfMachine {
     fn on_event(&mut self, net: &mut Network, _fired: Fired) {
-        if matches!(self.phase, PerfPhase::Done) {
+        let state = &mut self.state;
+        if matches!(state.phase, PerfPhase::Done) {
             return;
         }
         // The machine's own stream stands in for the shard RNG for the
         // whole step, so the client's draw sequence is continuous across
         // steps — identical to the reseed-once sequential loop.
-        net.swap_rng(&mut self.rng);
         let before = net.charged();
-        let live = self.step(net);
+        let live = net.with_rng(&mut self.rng, |net| state.step(net));
         let consumed = net.charged() - before;
-        net.swap_rng(&mut self.rng);
         if live {
             // Query steps model response deliveries; connects are timers.
-            let event = match self.phase {
+            let event = match state.phase {
                 PerfPhase::QueryDns | PerfPhase::QueryDot | PerfPhase::QueryDoh => {
-                    SchedEvent::Deliver { token: self.qdone }
+                    SchedEvent::Deliver { token: state.qdone }
                 }
                 _ => SchedEvent::Timer { token: 0 },
             };
-            net.schedule_after(consumed, self.index, event);
+            net.schedule_after(consumed, state.index, event);
         }
     }
 }
@@ -466,7 +477,7 @@ pub fn performance_test_sharded(
         run_machines(worker, &mut machines);
         machines
             .into_iter()
-            .map(|m| (m.ci, m.result.unwrap_or(None)))
+            .map(|m| (m.state.ci, m.state.result.unwrap_or(None)))
             .collect()
     };
 

@@ -325,8 +325,16 @@ fn note_interception<'a>(
 /// One client's reachability test as an event-driven state machine: one
 /// `(target, transport)` probe per fired event, then an optional forensic
 /// step. The step order, serials and per-client RNG stream match the old
-/// sequential loop exactly, so findings are bit-identical.
+/// sequential loop exactly, so findings are bit-identical. The stream
+/// sits beside the state the steps mutate, so [`Network::with_rng`] can
+/// lend the one while a step borrows the other.
 struct ReachMachine {
+    rng: SmallRng,
+    state: ReachState,
+}
+
+/// Everything a [`ReachMachine`] step reads and writes besides its RNG.
+struct ReachState {
     /// Dense per-shard heap address.
     index: u64,
     /// Global client index (merge key).
@@ -337,7 +345,6 @@ struct ReachMachine {
     /// Next step to run.
     pos: usize,
     serial: u64,
-    rng: SmallRng,
     /// Virtual time this client's own operations consumed, accumulated
     /// across steps — equals the old whole-client `Span` measurement.
     spent_us: u64,
@@ -362,32 +369,36 @@ impl ReachMachine {
         serial_base: u64,
     ) -> ReachMachine {
         ReachMachine {
-            index,
-            ci,
-            client,
-            setup,
-            steps,
-            pos: 0,
-            serial: serial_base,
             rng: SmallRng::seed_from_u64(rng_seed),
-            spent_us: 0,
-            client_us,
-            cells: Vec::new(),
-            interception: None,
-            forensics_due: false,
-            forensic: None,
-            done: false,
+            state: ReachState {
+                index,
+                ci,
+                client,
+                setup,
+                steps,
+                pos: 0,
+                serial: serial_base,
+                spent_us: 0,
+                client_us,
+                cells: Vec::new(),
+                interception: None,
+                forensics_due: false,
+                forensic: None,
+                done: false,
+            },
         }
     }
 
     fn start(&mut self, net: &mut Network) {
         net.schedule_after(
             SimDuration::ZERO,
-            self.index,
+            self.state.index,
             SchedEvent::Timer { token: 0 },
         );
     }
+}
 
+impl ReachState {
     /// Run one `(target, slot)` probe — one arm of the old per-target loop.
     fn probe_step(&mut self, net: &mut Network, ti: usize, slot: ReachSlot) {
         let setup = Arc::clone(&self.setup);
@@ -503,37 +514,35 @@ impl ReachMachine {
 
 impl EventMachine for ReachMachine {
     fn on_event(&mut self, net: &mut Network, _fired: Fired) {
-        if self.done {
+        let state = &mut self.state;
+        if state.done {
             return;
         }
-        net.swap_rng(&mut self.rng);
         let before = net.charged();
-        if let Some(&(ti, slot)) = self.steps.clone().get(self.pos) {
-            self.pos += 1;
-            self.probe_step(net, ti, slot);
+        if let Some(&(ti, slot)) = state.steps.clone().get(state.pos) {
+            state.pos += 1;
+            net.with_rng(&mut self.rng, |net| state.probe_step(net, ti, slot));
             let consumed = net.charged() - before;
-            self.spent_us += consumed.as_micros();
-            net.swap_rng(&mut self.rng);
-            let more_probes = self.pos < self.steps.len();
-            if more_probes || self.forensics_due {
+            state.spent_us += consumed.as_micros();
+            let more_probes = state.pos < state.steps.len();
+            if more_probes || state.forensics_due {
                 let event = if more_probes {
                     SchedEvent::Deliver {
-                        token: self.pos as u32,
+                        token: state.pos as u32,
                     }
                 } else {
                     SchedEvent::Timer { token: 1 }
                 };
-                net.schedule_after(consumed, self.index, event);
+                net.schedule_after(consumed, state.index, event);
                 return;
             }
         } else {
-            self.forensic_step(net);
+            net.with_rng(&mut self.rng, |net| state.forensic_step(net));
             let consumed = net.charged() - before;
-            self.spent_us += consumed.as_micros();
-            net.swap_rng(&mut self.rng);
+            state.spent_us += consumed.as_micros();
         }
-        self.done = true;
-        net.metrics_mut().observe(self.client_us, self.spent_us);
+        state.done = true;
+        net.metrics_mut().observe(state.client_us, state.spent_us);
     }
 }
 
@@ -614,7 +623,7 @@ pub fn reachability_test_sharded(
         run_machines(worker, &mut machines);
         machines
             .into_iter()
-            .map(ReachMachine::into_findings)
+            .map(|m| m.state.into_findings())
             .collect()
     };
 

@@ -113,11 +113,12 @@ cp results/priv_a/padding-leakage.json results/privacy.json
 rm -rf results/priv_a results/priv_b
 echo "    padding-leakage byte-stable; artifact archived as results/privacy.json"
 
-echo "==> doe-lint (determinism contract: interprocedural + dataflow + summaries)"
-# One pass archives the artifacts (v4 report, v2 call graph, SARIF); a
-# second pass re-derives all three so the gate catches any
-# nondeterminism in the analyzer itself — including the effect-summary
-# fixpoint and the lock-order cycle search. A stale entry in lint.toml
+echo "==> doe-lint (determinism contract: token rules + call-graph reachability + effect summaries)"
+# One pass writes the artifacts (v4 report and SARIF, both archived;
+# the v2 call graph, regenerated here and git-ignored); a second pass
+# re-derives all three so the gate catches any nondeterminism in the
+# analyzer itself — including the effect-summary fixpoint and the
+# lock-order cycle search. A stale entry in lint.toml
 # (renamed function, dropped rule root) is a hard error inside the run,
 # so the D006–D015 roots cannot rot silently.
 cargo run -q --release -p doe-lint --offline -- \
@@ -164,16 +165,23 @@ cargo run -q --release -p doe-lint --offline -- \
     echo "FAIL: doe-lint --baseline reports regressions against the archived report" >&2
     exit 1
 }
-# The dataflow rules (D009-D012) and the summary rules (D013-D015) must
-# stay rooted in lint.toml.
-for roots in step_entries time_entries hot_entries \
-             lock_entries decode_entries identity_entries; do
-    grep -q "^$roots = \[" lint.toml || {
-        echo "FAIL: lint.toml lost its $roots roots" >&2
+# The reachability rules (D006-D009, D012) must stay rooted in
+# lint.toml [graph], the summary rules (D013-D015) in [summary].
+section_has() {
+    awk -v sec="[$1]" -v key="$2 = [" '
+        /^\[/ { in_sec = ($0 == sec) }
+        in_sec && index($0, key) == 1 { found = 1 }
+        END { exit !found }' lint.toml
+}
+for roots in graph:shard_entries graph:protocol_entries graph:merge_entries \
+             graph:step_entries graph:hot_entries summary:lock_entries \
+             summary:decode_entries summary:identity_entries; do
+    section_has "${roots%%:*}" "${roots#*:}" || {
+        echo "FAIL: lint.toml [${roots%%:*}] lost its ${roots#*:} roots" >&2
         exit 1
     }
 done
-echo "    doe-lint.json (v4) + callgraph.json + doe-lint.sarif archived, all byte-stable"
+echo "    doe-lint.json (v4) + doe-lint.sarif archived, callgraph.json regenerated, all byte-stable"
 
 if [[ "${FULL_SCALE:-0}" == "1" ]]; then
     echo "==> full scale: 2.5M-host sweep determinism (FULL_SCALE=1)"
