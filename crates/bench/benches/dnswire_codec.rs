@@ -1,4 +1,5 @@
-//! Owned decode vs zero-copy view on the sweep's reply packets.
+//! Owned decode vs zero-copy view on the sweep's reply packets, plus the
+//! owned encode that writes them.
 //!
 //! The 2–3M-host verification stage parses one DoT reply per open host
 //! per epoch; the owned `Message::decode` allocates a `Name` per record
@@ -8,6 +9,11 @@
 //! a compression-heavy multi-answer response — and counts heap
 //! allocations per packet with a tallying global allocator. The view
 //! path must hold a ≥2× throughput edge and zero allocations.
+//!
+//! `owned_encode_*` times `Message::encode` on the same two messages:
+//! the write every stub UDP query pays twice, once on the client and
+//! once on the server. Its allocations are the output buffer plus the
+//! name-compression table.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dnswire::view::MessageView;
@@ -43,7 +49,7 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
 
 /// The packet `verify_one` classifies: a padded-to-128 A answer to the
 /// sweep's stamped probe query.
-fn sweep_reply() -> Vec<u8> {
+fn sweep_reply() -> Message {
     let query = builder::query(
         0x3d4e,
         "se0x01234567.probe.dnsmeasure.example",
@@ -59,12 +65,12 @@ fn sweep_reply() -> Vec<u8> {
         )],
     );
     reply.pad_to_block(128).expect("padding fits");
-    reply.encode().expect("reply encodes")
+    reply
 }
 
 /// A compression-heavy response: eight A records sharing the query
 /// name, the shape of a large public-resolver answer.
-fn fat_reply() -> Vec<u8> {
+fn fat_reply() -> Message {
     let query = builder::query(0x1111, "big.cdn.example", RecordType::A).expect("query encodes");
     let answers = (0..8u8)
         .map(|i| {
@@ -75,7 +81,7 @@ fn fat_reply() -> Vec<u8> {
             )
         })
         .collect();
-    builder::answer(&query, answers).encode().expect("encodes")
+    builder::answer(&query, answers)
 }
 
 fn bench_decoders(c: &mut Criterion) {
@@ -86,8 +92,13 @@ fn bench_decoders(c: &mut Criterion) {
     let expected = Ipv4Addr::new(198, 51, 100, 53);
 
     let mut group = c.benchmark_group("dnswire_codec");
-    for (label, wire) in &packets {
+    for (label, msg) in &packets {
+        let wire = &msg.encode().expect("packet encodes");
         // Report allocations per packet once, outside the timing loop.
+        let (_, encode_allocs) = allocs_during(|| {
+            let bytes = msg.encode().expect("owned encode");
+            drop(bytes);
+        });
         let (_, owned_allocs) = allocs_during(|| {
             let msg = Message::decode(wire).expect("owned decode");
             drop(msg);
@@ -97,11 +108,16 @@ fn bench_decoders(c: &mut Criterion) {
             let _ = view.first_a_answer();
         });
         eprintln!(
-            "dnswire_codec/{label}: {owned_allocs} allocs/packet owned, \
+            "dnswire_codec/{label}: {encode_allocs} allocs/packet owned encode, \
+             {owned_allocs} allocs/packet owned decode, \
              {view_allocs} allocs/packet view ({} bytes)",
             wire.len()
         );
         assert_eq!(view_allocs, 0, "view decode must be alloc-free");
+
+        group.bench_function(&format!("owned_encode_{label}"), |b| {
+            b.iter(|| std::hint::black_box(msg).encode().expect("owned encode"))
+        });
 
         group.bench_function(&format!("owned_decode_{label}"), |b| {
             b.iter(|| {

@@ -4,10 +4,9 @@
 use crate::edns::OptRecord;
 use crate::error::WireError;
 use crate::header::{Header, Rcode};
-use crate::name::Name;
+use crate::name::{CompressionTable, Name};
 use crate::rr::{RecordClass, RecordType, ResourceRecord};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One entry of the question section.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -30,7 +29,7 @@ impl Question {
         }
     }
 
-    fn encode(&self, buf: &mut Vec<u8>, table: &mut HashMap<Name, u16>) {
+    fn encode<'a>(&'a self, buf: &mut Vec<u8>, table: &mut CompressionTable<'a>) {
         self.qname.encode_compressed(buf, table);
         buf.extend_from_slice(&self.qtype.to_u16().to_be_bytes());
         buf.extend_from_slice(&self.qclass.to_u16().to_be_bytes());
@@ -149,7 +148,7 @@ impl Message {
 
         let mut buf = Vec::with_capacity(64);
         header.encode(&mut buf);
-        let mut table: HashMap<Name, u16> = HashMap::new();
+        let mut table = CompressionTable::new();
         for q in &self.questions {
             q.encode(&mut buf, &mut table);
         }

@@ -4,7 +4,6 @@
 use crate::error::WireError;
 use crate::{MAX_LABEL_LEN, MAX_NAME_LEN};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A fully-qualified domain name, stored as lower-cased labels.
@@ -154,25 +153,25 @@ impl Name {
 
     /// Encode with compression, updating `table` (suffix → offset).
     ///
-    /// Offsets beyond the 14-bit pointer range are not inserted into the
-    /// table, as they cannot be referenced.
-    pub fn encode_compressed(&self, buf: &mut Vec<u8>, table: &mut HashMap<Name, u16>) {
-        for i in 0..self.labels.len() {
-            let suffix = Name {
-                labels: self.labels[i..].to_vec(),
-            };
-            if let Some(&off) = table.get(&suffix) {
+    /// Each suffix, longest first, is looked up; the first one already
+    /// written becomes a pointer and ends the name. Offsets beyond the
+    /// 14-bit pointer range are not inserted into the table, as they
+    /// cannot be referenced.
+    pub fn encode_compressed<'a>(&'a self, buf: &mut Vec<u8>, table: &mut CompressionTable<'a>) {
+        let mut suffix: &'a [Vec<u8>] = &self.labels;
+        while let [label, rest @ ..] = suffix {
+            if let Some(off) = table.offset_of(suffix) {
                 buf.push(0b1100_0000 | ((off >> 8) as u8));
                 buf.push((off & 0xff) as u8);
                 return;
             }
             let here = buf.len();
             if here <= 0x3fff {
-                table.insert(suffix, here as u16);
+                table.suffixes.push((suffix, here as u16));
             }
-            let label = &self.labels[i];
             buf.push(label.len() as u8);
             buf.extend_from_slice(label);
+            suffix = rest;
         }
         buf.push(0);
     }
@@ -242,6 +241,34 @@ impl Name {
         }
         *pos = end_of_inline;
         Ok(Name { labels })
+    }
+}
+
+/// Name-compression state of one message encode: every suffix written so
+/// far at a pointer-reachable offset, borrowed from the message's own
+/// names, so recording a suffix copies no label.
+///
+/// A suffix is recorded only after its lookup missed, so each is present
+/// at most once, and a linear scan finds the one exact match, as a map
+/// would. DNS messages carry few distinct suffixes, so the scan costs
+/// less than hashing each suffix.
+#[derive(Debug, Default)]
+pub struct CompressionTable<'a> {
+    suffixes: Vec<(&'a [Vec<u8>], u16)>,
+}
+
+impl<'a> CompressionTable<'a> {
+    /// An empty table, for the start of a message.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The offset `suffix` was written at, if it was recorded.
+    fn offset_of(&self, suffix: &[Vec<u8>]) -> Option<u16> {
+        self.suffixes
+            .iter()
+            .find(|(seen, _)| *seen == suffix)
+            .map(|&(_, off)| off)
     }
 }
 
@@ -359,7 +386,7 @@ mod tests {
         let a = Name::parse("one.example.com").unwrap();
         let b = Name::parse("two.example.com").unwrap();
         let mut buf = Vec::new();
-        let mut table = HashMap::new();
+        let mut table = CompressionTable::new();
         a.encode_compressed(&mut buf, &mut table);
         let first_len = buf.len();
         b.encode_compressed(&mut buf, &mut table);
@@ -375,7 +402,7 @@ mod tests {
     fn identical_name_collapses_to_pointer() {
         let a = Name::parse("example.com").unwrap();
         let mut buf = Vec::new();
-        let mut table = HashMap::new();
+        let mut table = CompressionTable::new();
         a.encode_compressed(&mut buf, &mut table);
         let first = buf.len();
         a.encode_compressed(&mut buf, &mut table);

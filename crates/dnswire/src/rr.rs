@@ -1,9 +1,8 @@
 //! Resource records: types, classes and RDATA codecs (RFC 1035 §3.2, §4.1.3).
 
 use crate::error::WireError;
-use crate::name::Name;
+use crate::name::{CompressionTable, Name};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -367,10 +366,10 @@ impl ResourceRecord {
     }
 
     /// Encode into `buf`, compressing the owner name via `table`.
-    pub fn encode(
-        &self,
+    pub fn encode<'a>(
+        &'a self,
         buf: &mut Vec<u8>,
-        table: &mut HashMap<Name, u16>,
+        table: &mut CompressionTable<'a>,
     ) -> Result<(), WireError> {
         self.name.encode_compressed(buf, table);
         buf.extend_from_slice(&self.rtype.to_u16().to_be_bytes());
@@ -416,7 +415,7 @@ mod tests {
 
     fn round_trip(rr: &ResourceRecord) -> ResourceRecord {
         let mut buf = Vec::new();
-        let mut table = HashMap::new();
+        let mut table = CompressionTable::new();
         rr.encode(&mut buf, &mut table).unwrap();
         let mut pos = 0;
         let back = ResourceRecord::decode(&buf, &mut pos).unwrap();
@@ -513,7 +512,7 @@ mod tests {
             RData::Txt(vec![vec![0u8; 256]]),
         );
         let mut buf = Vec::new();
-        let mut table = HashMap::new();
+        let mut table = CompressionTable::new();
         assert!(matches!(
             rr.encode(&mut buf, &mut table),
             Err(WireError::TxtSegmentTooLong(256))

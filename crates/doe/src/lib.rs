@@ -16,8 +16,8 @@
 //! * [`dnscrypt`] — DNSCrypt v2 (port 443, non-TLS construction,
 //!   certificate via TXT bootstrap),
 //! * [`responder`] / [`recursive`] — server-side: authoritative servers
-//!   (with query ground-truth logs), recursive resolvers with caches,
-//!   fixed-answer filters, and flaky back-ends,
+//!   (with opt-in ground-truth query logs for tests), recursive resolvers
+//!   with caches, fixed-answer filters, and flaky back-ends,
 //! * [`stub`] — a user-facing stub resolver that composes the above with
 //!   profile-driven fallback, the public API a downstream client would
 //!   embed.

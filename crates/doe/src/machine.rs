@@ -105,10 +105,7 @@ enum Phase {
     /// is pending.
     Idle,
     /// A query is in flight; its answer is scheduled for delivery.
-    Waiting {
-        latency_us: u64,
-        reused_connection: bool,
-    },
+    Waiting { latency_us: u64 },
     /// All queries done; any still-heaped events are stale.
     Done,
 }
@@ -128,9 +125,6 @@ pub struct StubMachine {
     generation: u32,
     /// Logical queries completed so far.
     completed: u32,
-    /// Whether the profile pools a connection at all (clear-text UDP
-    /// doesn't; skipping the guard keeps 1M-client heaps lean).
-    pools_connection: bool,
     /// Outcome counters, read by the fleet runner after the heap drains.
     pub stats: StubMachineStats,
 }
@@ -147,7 +141,6 @@ impl StubMachine {
         pacing: Arc<StubPacing>,
         rng_seed: u64,
     ) -> StubMachine {
-        let pools_connection = !matches!(config.profile, crate::stub::StubProfile::ClearText);
         StubMachine {
             index,
             client,
@@ -158,7 +151,6 @@ impl StubMachine {
             phase: Phase::Idle,
             generation: 0,
             completed: 0,
-            pools_connection,
             stats: StubMachineStats::default(),
         }
     }
@@ -194,7 +186,6 @@ impl StubMachine {
             Ok(reply) => {
                 self.phase = Phase::Waiting {
                     latency_us: reply.latency.as_micros(),
-                    reused_connection: reply.transport.connection_reused,
                 };
                 net.schedule_after(
                     reply.latency,
@@ -221,7 +212,7 @@ impl StubMachine {
                     );
                 } else {
                     self.stats.failed += 1;
-                    self.finish_query(net, e.elapsed());
+                    self.finish_query(net);
                 }
             }
         }
@@ -229,7 +220,7 @@ impl StubMachine {
 
     /// A logical query just completed (answered or exhausted); advance
     /// to the next one or finish, arming think and idle-close events.
-    fn finish_query(&mut self, net: &mut Network, consumed: SimDuration) {
+    fn finish_query(&mut self, net: &mut Network) {
         self.stats.queries += 1;
         self.generation = self.generation.wrapping_add(1);
         self.completed += 1;
@@ -249,7 +240,6 @@ impl StubMachine {
         let think = SimDuration::from_micros(
             (self.pacing.think_mean.as_micros() as f64 * frac).round() as u64,
         );
-        let _ = consumed; // the clock already advanced through Deliver
         net.schedule_after(
             think,
             self.index,
@@ -257,7 +247,9 @@ impl StubMachine {
                 token: self.completed,
             },
         );
-        if self.pools_connection {
+        // Clear-text UDP pools nothing; skipping its guard keeps
+        // 1M-client heaps lean.
+        if self.stub.pools_connection() {
             net.schedule_after(
                 self.pacing.idle_close,
                 self.index,
@@ -281,15 +273,10 @@ impl EventMachine for StubMachine {
                 self.issue_query(net, attempt);
             }
             SchedEvent::Deliver { .. } => {
-                if let Phase::Waiting {
-                    latency_us,
-                    reused_connection,
-                } = self.phase
-                {
+                if let Phase::Waiting { latency_us } = self.phase {
                     self.stats.answered += 1;
                     self.stats.latency_sum_us += latency_us;
-                    let _ = reused_connection;
-                    self.finish_query(net, SimDuration::from_micros(latency_us));
+                    self.finish_query(net);
                 }
             }
             SchedEvent::IdleClose { generation } => {
@@ -390,6 +377,13 @@ mod tests {
             Arc::clone(pacing),
             mix_seed(4242, index),
         )
+    }
+
+    #[test]
+    fn stub_machine_fits_its_footprint_budget() {
+        // The 1M-client fleet's RSS is this size times a million.
+        let size = std::mem::size_of::<StubMachine>();
+        assert!(size <= 384, "StubMachine is {size} B, budget 384 B");
     }
 
     #[test]

@@ -449,9 +449,12 @@ mod tests {
             60,
             RData::A("203.0.113.99".parse().unwrap()),
         );
-        let auth_server = Arc::new(AuthoritativeServer::new(vec![zone]));
-        let log = auth_server.log();
-        net.bind_udp(auth, 53, Arc::new(Do53UdpService::new(auth_server)));
+        let (auth_server, log) = AuthoritativeServer::with_log(vec![zone]);
+        net.bind_udp(
+            auth,
+            53,
+            Arc::new(Do53UdpService::new(Arc::new(auth_server))),
+        );
 
         let mut upstreams = UpstreamMap::new();
         upstreams.add(apex, auth);
@@ -664,9 +667,12 @@ mod tests {
                 60,
                 RData::A("203.0.113.99".parse().unwrap()),
             );
-            let auth_server = Arc::new(AuthoritativeServer::new(vec![zone]));
-            let log = auth_server.log();
-            net.bind_udp(auth, 53, Arc::new(Do53UdpService::new(auth_server)));
+            let (auth_server, log) = AuthoritativeServer::with_log(vec![zone]);
+            net.bind_udp(
+                auth,
+                53,
+                Arc::new(Do53UdpService::new(Arc::new(auth_server))),
+            );
             let mut upstreams = UpstreamMap::new();
             upstreams.add(apex, auth);
             let recursive = Arc::new(RecursiveResolver::new(

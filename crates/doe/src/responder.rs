@@ -36,27 +36,36 @@ pub struct QueryLogEntry {
     pub qtype: RecordType,
 }
 
-/// Shared, inspectable log of queries reaching a server.
+/// Shared, inspectable log of queries reaching a server: opt-in ground
+/// truth that tests read after a run. Only a server built with
+/// [`AuthoritativeServer::with_log`] keeps one, and it never shrinks.
 pub type QueryLog = Arc<Mutex<Vec<QueryLogEntry>>>;
 
 /// An authoritative-only server over a set of zones.
+///
+/// [`AuthoritativeServer::new`] keeps no query log, so answering costs no
+/// lock and retains nothing per query. [`AuthoritativeServer::with_log`]
+/// records every query for tests that check what the server saw.
 pub struct AuthoritativeServer {
     zones: Vec<Zone>,
-    log: QueryLog,
+    log: Option<QueryLog>,
 }
 
 impl AuthoritativeServer {
-    /// Serve the given zones.
+    /// Serve the given zones, keeping no query log.
     pub fn new(zones: Vec<Zone>) -> Self {
-        AuthoritativeServer {
-            zones,
-            log: Arc::new(Mutex::new(Vec::new())),
-        }
+        AuthoritativeServer { zones, log: None }
     }
 
-    /// Handle to the query log (ground truth for the measurements).
-    pub fn log(&self) -> QueryLog {
-        Arc::clone(&self.log)
+    /// Serve the given zones and log every query, returning the server and
+    /// a handle to its ground-truth log.
+    pub fn with_log(zones: Vec<Zone>) -> (Self, QueryLog) {
+        let log = QueryLog::default();
+        let server = AuthoritativeServer {
+            zones,
+            log: Some(Arc::clone(&log)),
+        };
+        (server, log)
     }
 
     /// The zone containing `name`, if any.
@@ -73,13 +82,15 @@ impl DnsResponder for AuthoritativeServer {
         let Some(question) = query.question() else {
             return builder::error_response(query, Rcode::FormErr);
         };
-        // doe-lint: allow(D006) — ground-truth log read as an unordered set by tests
-        // only; never rendered into merged reports, so append order is unobservable
-        self.log.lock().push(QueryLogEntry {
-            observed_src: peer.src,
-            qname: question.qname.clone(),
-            qtype: question.qtype,
-        });
+        if let Some(log) = &self.log {
+            // doe-lint: allow(D006) — ground-truth log read as an unordered set by tests
+            // only; never rendered into merged reports, so append order is unobservable
+            log.lock().push(QueryLogEntry {
+                observed_src: peer.src,
+                qname: question.qname.clone(),
+                qtype: question.qtype,
+            });
+        }
         let Some(zone) = self.zone_for(&question.qname) else {
             return builder::error_response(query, Rcode::Refused);
         };
@@ -229,10 +240,9 @@ mod tests {
 
     #[test]
     fn authoritative_answers_wildcard_probe() {
-        let auth = Arc::new(AuthoritativeServer::new(vec![probe_zone()]));
-        let log = auth.log();
+        let (auth, log) = AuthoritativeServer::with_log(vec![probe_zone()]);
         let q = builder::query(7, "u93.probe.dnsmeasure.example", RecordType::A).unwrap();
-        let resp = query_via_udp(auth, &q);
+        let resp = query_via_udp(Arc::new(auth), &q);
         assert_eq!(resp.rcode(), Rcode::NoError);
         assert_eq!(resp.answers.len(), 1);
         assert!(resp.header.authoritative);
@@ -247,6 +257,27 @@ mod tests {
             entries[0].qname.to_string(),
             "u93.probe.dnsmeasure.example."
         );
+    }
+
+    #[test]
+    fn authoritative_without_log_answers_and_retains_nothing() {
+        let plain = Arc::new(AuthoritativeServer::new(vec![probe_zone()]));
+        let (logging, log) = AuthoritativeServer::with_log(vec![probe_zone()]);
+        let logging = Arc::new(logging);
+        let names = [
+            "a.probe.dnsmeasure.example",
+            "www.google.com",
+            "b.probe.dnsmeasure.example",
+        ];
+        for (id, name) in (20..).zip(names) {
+            let q = builder::query(id, name, RecordType::A).unwrap();
+            let resp = query_via_udp(Arc::clone(&plain) as Arc<dyn DnsResponder>, &q);
+            // The log is invisible on the wire: both servers answer alike.
+            let logged = query_via_udp(Arc::clone(&logging) as Arc<dyn DnsResponder>, &q);
+            assert_eq!(resp, logged, "{name}");
+        }
+        assert_eq!(log.lock().len(), names.len());
+        assert!(plain.log.is_none(), "a plain server keeps no log");
     }
 
     #[test]

@@ -71,19 +71,39 @@ pub struct StubConfig {
     pub timeout: SimDuration,
 }
 
-enum PooledSession {
-    None,
-    Dot(DotSession),
-    Doh(DohSession),
-    Tcp(Do53TcpConn),
+/// The profile's transport client and pooled session, one variant per
+/// transport. The encrypted ones are boxed, so a clear-text stub (90% of
+/// the million-client fleet) carries neither a TLS client nor a session.
+enum Transport {
+    /// Clear-text UDP: no client, nothing to pool.
+    Udp,
+    /// Clear-text TCP and its pooled connection.
+    Tcp(Option<Box<Do53TcpConn>>),
+    /// Strict or Opportunistic DoT.
+    Dot(Box<DotTransport>),
+    /// DoH.
+    Doh(Box<DohTransport>),
+}
+
+struct DotTransport {
+    client: DotClient,
+    session: Option<DotSession>,
+    /// The Strict profile's authentication name; `None` is Opportunistic.
+    auth_name: Option<String>,
+    /// Whether a failed DoT query may fall back to clear text.
+    fallback_clear: bool,
+}
+
+struct DohTransport {
+    client: DohClient,
+    session: Option<DohSession>,
 }
 
 /// A stub resolver with a pooled connection.
 pub struct StubResolver {
-    config: StubConfig,
-    dot: Option<DotClient>,
-    doh: Option<DohClient>,
-    session: PooledSession,
+    resolver: Ipv4Addr,
+    timeout: SimDuration,
+    transport: Transport,
     /// Count of queries that used a pooled (reused) session.
     reused_queries: u64,
 }
@@ -91,34 +111,52 @@ pub struct StubResolver {
 impl StubResolver {
     /// Build a stub from config.
     pub fn new(config: StubConfig) -> Self {
-        let dot = match &config.profile {
-            StubProfile::StrictDot { .. } => Some(DotClient::new(TlsClientConfig::strict(
-                config.trust_store.clone(),
-                config.now,
-            ))),
-            StubProfile::OpportunisticDot { .. } => Some(DotClient::new(
-                TlsClientConfig::opportunistic(config.trust_store.clone(), config.now),
-            )),
-            _ => None,
+        let StubConfig {
+            resolver,
+            profile,
+            trust_store,
+            now,
+            timeout,
+        } = config;
+        let dot = |tls, auth_name, fallback_clear| {
+            Transport::Dot(Box::new(DotTransport {
+                client: DotClient::new(tls),
+                session: None,
+                auth_name,
+                fallback_clear,
+            }))
         };
-        let doh = match &config.profile {
+        let transport = match profile {
+            StubProfile::StrictDot { auth_name } => dot(
+                TlsClientConfig::strict(trust_store, now),
+                Some(auth_name),
+                false,
+            ),
+            StubProfile::OpportunisticDot { fallback_clear } => dot(
+                TlsClientConfig::opportunistic(trust_store, now),
+                None,
+                fallback_clear,
+            ),
             StubProfile::Doh {
                 template,
                 method,
                 bootstrap,
-            } => Some(DohClient::new(
-                TlsClientConfig::strict(config.trust_store.clone(), config.now),
-                template.clone(),
-                *method,
-                *bootstrap,
-            )),
-            _ => None,
+            } => Transport::Doh(Box::new(DohTransport {
+                client: DohClient::new(
+                    TlsClientConfig::strict(trust_store, now),
+                    template,
+                    method,
+                    bootstrap,
+                ),
+                session: None,
+            })),
+            StubProfile::ClearText => Transport::Udp,
+            StubProfile::ClearTextTcp => Transport::Tcp(None),
         };
         StubResolver {
-            config,
-            dot,
-            doh,
-            session: PooledSession::None,
+            resolver,
+            timeout,
+            transport,
             reused_queries: 0,
         }
     }
@@ -128,13 +166,51 @@ impl StubResolver {
         self.reused_queries
     }
 
+    /// Whether the profile pools a connection at all (clear-text UDP
+    /// does not).
+    pub fn pools_connection(&self) -> bool {
+        !matches!(self.transport, Transport::Udp)
+    }
+
+    fn has_session(&self) -> bool {
+        match &self.transport {
+            Transport::Udp => false,
+            Transport::Tcp(conn) => conn.is_some(),
+            Transport::Dot(dot) => dot.session.is_some(),
+            Transport::Doh(doh) => doh.session.is_some(),
+        }
+    }
+
     /// Drop the pooled session (simulating idle expiry).
     pub fn expire_session(&mut self, net: &mut Network) {
-        match std::mem::replace(&mut self.session, PooledSession::None) {
-            PooledSession::Dot(s) => s.close(net),
-            PooledSession::Doh(s) => s.close(net),
-            PooledSession::Tcp(c) => c.close(net),
-            PooledSession::None => {}
+        match &mut self.transport {
+            Transport::Udp => {}
+            Transport::Tcp(conn) => {
+                if let Some(conn) = conn.take() {
+                    conn.close(net);
+                }
+            }
+            Transport::Dot(dot) => {
+                if let Some(session) = dot.session.take() {
+                    session.close(net);
+                }
+            }
+            Transport::Doh(doh) => {
+                if let Some(session) = doh.session.take() {
+                    session.close(net);
+                }
+            }
+        }
+    }
+
+    /// Forget a pooled session that turned out to be dead, without
+    /// closing it.
+    fn forget_session(&mut self) {
+        match &mut self.transport {
+            Transport::Udp => {}
+            Transport::Tcp(conn) => *conn = None,
+            Transport::Dot(dot) => dot.session = None,
+            Transport::Doh(doh) => doh.session = None,
         }
     }
 
@@ -151,7 +227,7 @@ impl StubResolver {
         let query = builder::query(id, name, rtype)?;
         // One transparent retry on a fresh session if a pooled session
         // turns out to be dead.
-        let had_pooled = !matches!(self.session, PooledSession::None);
+        let had_pooled = self.has_session();
         match self.query_via_session(net, src, &query) {
             Ok(reply) => {
                 if had_pooled {
@@ -160,7 +236,7 @@ impl StubResolver {
                 Ok(reply)
             }
             Err(first_err) if had_pooled => {
-                self.session = PooledSession::None;
+                self.forget_session();
                 match self.query_via_session(net, src, &query) {
                     Ok(reply) => Ok(reply),
                     Err(_) => self.try_fallback(net, src, &query, first_err),
@@ -170,91 +246,66 @@ impl StubResolver {
         }
     }
 
+    /// Query over the pooled session, establishing one first if none is
+    /// pooled.
     fn query_via_session(
         &mut self,
         net: &mut Network,
         src: Ipv4Addr,
         query: &Message,
     ) -> Result<QueryReply, QueryError> {
-        // Establish a session if none is pooled.
-        if matches!(self.session, PooledSession::None) {
-            self.session = match &self.config.profile {
-                StubProfile::StrictDot { auth_name } => {
-                    let auth_name = auth_name.clone();
-                    let dot = self.dot.as_mut().ok_or_else(|| {
-                        QueryError::Protocol("stub configured for DoT without a DoT client".into())
-                    })?;
-                    PooledSession::Dot(dot.session(
-                        net,
-                        src,
-                        self.config.resolver,
-                        Some(&auth_name),
-                    )?)
-                }
-                StubProfile::OpportunisticDot { .. } => {
-                    let dot = self.dot.as_mut().ok_or_else(|| {
-                        QueryError::Protocol("stub configured for DoT without a DoT client".into())
-                    })?;
-                    PooledSession::Dot(dot.session(net, src, self.config.resolver, None)?)
-                }
-                StubProfile::Doh { .. } => {
-                    let doh = self.doh.as_mut().ok_or_else(|| {
-                        QueryError::Protocol("stub configured for DoH without a DoH client".into())
-                    })?;
-                    PooledSession::Doh(doh.session(net, src)?)
-                }
-                StubProfile::ClearTextTcp => PooledSession::Tcp(Do53TcpConn::connect(
-                    net,
-                    src,
-                    self.config.resolver,
-                    self.config.timeout,
-                )?),
-                StubProfile::ClearText => PooledSession::None,
-            };
-        }
-        match &mut self.session {
-            PooledSession::Dot(session) => session.query(net, query),
-            PooledSession::Doh(session) => session.query(net, query),
-            PooledSession::Tcp(conn) => conn.query(net, query),
-            PooledSession::None => {
-                // Clear-text UDP needs no session.
-                do53_udp_query(
-                    net,
-                    src,
-                    self.config.resolver,
-                    query,
-                    self.config.timeout,
-                    1,
-                )
+        let (resolver, timeout) = (self.resolver, self.timeout);
+        match &mut self.transport {
+            // Clear-text UDP needs no session.
+            Transport::Udp => do53_udp_query(net, src, resolver, query, timeout, 1),
+            Transport::Tcp(pooled) => {
+                let conn = match pooled {
+                    Some(conn) => conn,
+                    None => {
+                        pooled.insert(Box::new(Do53TcpConn::connect(net, src, resolver, timeout)?))
+                    }
+                };
+                conn.query(net, query)
+            }
+            Transport::Dot(dot) => {
+                let session = match &mut dot.session {
+                    Some(session) => session,
+                    None => {
+                        let auth_name = dot.auth_name.as_deref();
+                        let fresh = dot.client.session(net, src, resolver, auth_name)?;
+                        dot.session.insert(fresh)
+                    }
+                };
+                session.query(net, query)
+            }
+            Transport::Doh(doh) => {
+                let session = match &mut doh.session {
+                    Some(session) => session,
+                    None => {
+                        let fresh = doh.client.session(net, src)?;
+                        doh.session.insert(fresh)
+                    }
+                };
+                session.query(net, query)
             }
         }
     }
 
     fn try_fallback(
-        &mut self,
+        &self,
         net: &mut Network,
         src: Ipv4Addr,
         query: &Message,
         original: QueryError,
     ) -> Result<QueryReply, QueryError> {
-        match &self.config.profile {
-            StubProfile::OpportunisticDot {
-                fallback_clear: true,
-            } => {
-                let mut reply = do53_udp_query(
-                    net,
-                    src,
-                    self.config.resolver,
-                    query,
-                    self.config.timeout,
-                    1,
-                )?;
-                reply.transport = TransportInfo::clear(DnsTransport::Do53Udp);
-                Ok(reply)
-            }
-            // Strict profiles and DoH never fall back.
-            _ => Err(original),
+        // Only Opportunistic DoT may fall back; Strict profiles and DoH
+        // never do.
+        if !matches!(&self.transport, Transport::Dot(dot) if dot.fallback_clear) {
+            return Err(original);
         }
+        let mut reply = do53_udp_query(net, src, self.resolver, query, self.timeout, 1)?;
+        reply.transport = TransportInfo::clear(DnsTransport::Do53Udp);
+        Ok(reply)
     }
 }
 

@@ -3,12 +3,12 @@
 //!
 //! The per-client-loop architecture bounded a shard to one in-flight
 //! client at a time; the discrete-event scheduler removes that bound.
-//! This module builds a lean world — one anycast resolver, clients
-//! attributed through the geo database instead of a million host
-//! entries — and drives a [`StubMachine`] per client, mixing clear-text
-//! UDP (the bulk), clear-text TCP, and Opportunistic/Strict DoT so
-//! connection reuse, idle closes, timeouts and retransmits all run as
-//! scheduled events. One /16 of the client band is blackholed by policy,
+//! This module builds a lean world — one anycast resolver whose
+//! authoritative answers keep no query log, clients attributed through
+//! the geo database instead of a million host entries — and drives a
+//! [`StubMachine`] per client, mixing clear-text UDP (the bulk),
+//! clear-text TCP, and Opportunistic/Strict DoT so connection reuse,
+//! idle closes, timeouts and retransmits all run as scheduled events. One /16 of the client band is blackholed by policy,
 //! so a fixed, shard-layout-independent slice of the fleet exercises the
 //! retransmit path.
 //!

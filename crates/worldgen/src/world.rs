@@ -38,7 +38,8 @@ pub struct ProbeInfra {
     pub expected_a: Ipv4Addr,
     /// Authoritative server address.
     pub auth_addr: Ipv4Addr,
-    /// Ground-truth log of queries reaching the authoritative server.
+    /// Ground-truth log of queries reaching the authoritative server, for
+    /// tests (the one logging server a world builds).
     pub auth_log: QueryLog,
 }
 
@@ -243,8 +244,8 @@ impl World {
             zone.add_record(&host_apex, 300, RData::A(*front));
             zones.push(zone);
         }
-        let auth_server = Arc::new(AuthoritativeServer::new(zones));
-        let auth_log = auth_server.log();
+        let (auth_server, auth_log) = AuthoritativeServer::with_log(zones);
+        let auth_server = Arc::new(auth_server);
         net.add_host(
             HostMeta::new(anchors::PROBE_AUTH)
                 .country("US")

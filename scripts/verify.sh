@@ -15,13 +15,16 @@ cargo build --release --offline
 echo "==> tier-1: cargo test -q"
 cargo test -q --offline --workspace
 
-echo "==> dnswire: owned-vs-view differential + adversarial corpus"
+echo "==> dnswire: owned-vs-view differential + adversarial corpus + golden encode"
 # The zero-copy view decoder must accept/reject byte-for-byte like the
 # owned decoder, with the same error variants, on generated messages,
 # mutation fuzz and the pinned adversarial fixtures. The scan hot paths
 # classify replies through the view, so this equivalence is what makes
-# the 2.5M-host sweep trustworthy.
-cargo test -q --offline -p dnswire --test differential --test adversarial
+# the 2.5M-host sweep trustworthy. The golden fixtures pin the exact
+# bytes the owned encoder writes: round trips would also accept a
+# different but valid name compression.
+cargo test -q --offline -p dnswire --test differential --test adversarial \
+    --test golden_encode
 
 echo "==> telemetry: repro --metrics determinism (shards 1 vs 8)"
 # A small campaign covering every instrumented stage: figure3 drives the
@@ -184,13 +187,13 @@ done
 echo "    doe-lint.json (v4) + doe-lint.sarif archived, callgraph.json regenerated, all byte-stable"
 
 if [[ "${FULL_SCALE:-0}" == "1" ]]; then
-    echo "==> full scale: 2.5M-host sweep determinism (FULL_SCALE=1)"
+    echo "==> full scale: 2.5M-host sweep and 1M-client fleet determinism (FULL_SCALE=1)"
     # The paper-scale leg, opt-in because it adds a few minutes: the
-    # ignored shard-invariance test sweeps the full space at shards
-    # 1/2/8, then two complete --paper regenerations of the sweep
-    # experiments must be byte-identical.
+    # ignored shard-invariance tests sweep the full space and run the
+    # 1M-client stub fleet at shards 1/2/8, then two complete --paper
+    # regenerations of the sweep experiments must be byte-identical.
     cargo test -q --offline --release --test shard_invariance -- \
-        --ignored full_scale_sweep
+        --ignored full_scale_sweep stub_population_at_one_million_clients_is_invariant
     for run in a b; do
         mkdir -p "results/fullscale_$run"
         cargo run -q --release -p doe-core --bin repro --offline -- \
