@@ -2,11 +2,11 @@
 //! owned encode that writes them.
 //!
 //! The 2–3M-host verification stage parses one DoT reply per open host
-//! per epoch; the owned `Message::decode` allocates a `Name` per record
-//! plus the section vectors, while `MessageView::parse` validates in
-//! place and lends borrows. This bench measures both decoders on the
-//! same packets — a padded resolver answer (what `verify_one` sees) and
-//! a compression-heavy multi-answer response — and counts heap
+//! per epoch. `MessageView::parse` validates in place and lends borrows;
+//! the owned `Message::decode` is that parse plus a copy, which allocates
+//! a `Name` per record plus the section vectors. This bench measures both
+//! on the same packets — a padded resolver answer (what `verify_one`
+//! sees) and a compression-heavy multi-answer response — and counts heap
 //! allocations per packet with a tallying global allocator. The view
 //! path must hold a ≥2× throughput edge and zero allocations.
 //!

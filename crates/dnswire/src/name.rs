@@ -1,5 +1,7 @@
-//! Domain names: presentation parsing, wire encoding and decoding with
-//! message compression (RFC 1035 §4.1.4).
+//! Domain names: presentation parsing and wire encoding with message
+//! compression (RFC 1035 §4.1.4). Decoding is
+//! [`NameRef::to_name`](crate::NameRef::to_name), a copy out of a validated
+//! [`MessageView`](crate::MessageView).
 
 use crate::error::WireError;
 use crate::{MAX_LABEL_LEN, MAX_NAME_LEN};
@@ -56,26 +58,12 @@ impl Name {
         Ok(Name { labels })
     }
 
-    /// Build a name from raw label byte strings.
-    pub fn from_labels<I, L>(iter: I) -> Result<Self, WireError>
-    where
-        I: IntoIterator<Item = L>,
-        L: AsRef<[u8]>,
-    {
-        let mut labels = Vec::new();
-        let mut total = 1usize;
-        for l in iter {
-            let l = l.as_ref();
-            if l.len() > MAX_LABEL_LEN {
-                return Err(WireError::LabelTooLong(l.len()));
-            }
-            total += 1 + l.len();
-            labels.push(l.to_ascii_lowercase());
+    /// Lower-cased copy of labels a validated message holds, leftmost
+    /// first.
+    pub(crate) fn from_wire_labels<'l>(labels: impl Iterator<Item = &'l [u8]>) -> Self {
+        Name {
+            labels: labels.map(<[u8]>::to_ascii_lowercase).collect(),
         }
-        if total > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(total));
-        }
-        Ok(Name { labels })
     }
 
     /// Number of labels (`0` for the root).
@@ -175,73 +163,6 @@ impl Name {
         }
         buf.push(0);
     }
-
-    /// Decode a (possibly compressed) name from `msg` starting at `*pos`.
-    ///
-    /// On success `*pos` is advanced past the name as it appears at the
-    /// original location (pointers are followed without moving `*pos`).
-    pub fn decode(msg: &[u8], pos: &mut usize) -> Result<Self, WireError> {
-        let mut labels = Vec::new();
-        let mut total = 1usize;
-        let mut cursor = *pos;
-        let mut jumped = false;
-        let mut jumps = 0u32;
-        // After the first pointer, `*pos` is already final; before it, we
-        // track how far the inline representation extends.
-        let mut end_of_inline = *pos;
-
-        loop {
-            let len_byte = *msg.get(cursor).ok_or(WireError::Truncated {
-                expecting: "name label length",
-            })?;
-            match len_byte & 0b1100_0000 {
-                0b0000_0000 => {
-                    if len_byte == 0 {
-                        if !jumped {
-                            end_of_inline = cursor + 1;
-                        }
-                        break;
-                    }
-                    let len = len_byte as usize;
-                    let start = cursor + 1;
-                    let end = start + len;
-                    let label = msg.get(start..end).ok_or(WireError::Truncated {
-                        expecting: "name label",
-                    })?;
-                    total += 1 + len;
-                    if total > MAX_NAME_LEN {
-                        return Err(WireError::NameTooLong(total));
-                    }
-                    labels.push(label.to_ascii_lowercase());
-                    cursor = end;
-                    if !jumped {
-                        end_of_inline = cursor;
-                    }
-                }
-                0b1100_0000 => {
-                    let second = *msg.get(cursor + 1).ok_or(WireError::Truncated {
-                        expecting: "pointer low byte",
-                    })?;
-                    let target = (((len_byte & 0b0011_1111) as u16) << 8) | second as u16;
-                    if (target as usize) >= cursor {
-                        return Err(WireError::BadPointer(target));
-                    }
-                    jumps += 1;
-                    if jumps > 64 {
-                        return Err(WireError::PointerLoop);
-                    }
-                    if !jumped {
-                        end_of_inline = cursor + 2;
-                        jumped = true;
-                    }
-                    cursor = target as usize;
-                }
-                other => return Err(WireError::BadLabelType(other)),
-            }
-        }
-        *pos = end_of_inline;
-        Ok(Name { labels })
-    }
 }
 
 /// Name-compression state of one message encode: every suffix written so
@@ -303,6 +224,7 @@ impl std::str::FromStr for Name {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Header, Message};
 
     #[test]
     fn parse_and_display_round_trip() {
@@ -369,33 +291,50 @@ mod tests {
         assert!(Name::parse("com").unwrap().second_level_domain().is_none());
     }
 
+    /// A query header announcing `qdcount` questions, for the test to
+    /// write their names after.
+    fn header_for(qdcount: u16) -> Vec<u8> {
+        let mut buf = Vec::new();
+        Header {
+            qdcount,
+            ..Header::new_query(1)
+        }
+        .encode(&mut buf);
+        buf
+    }
+
+    /// The type (A) and class (IN) that end each question.
+    const A_IN: [u8; 4] = [0, 1, 0, 1];
+
+    fn qnames(wire: &[u8]) -> Vec<Name> {
+        let msg = Message::decode(wire).unwrap();
+        msg.questions.into_iter().map(|q| q.qname).collect()
+    }
+
     #[test]
     fn uncompressed_round_trip() {
         let n = Name::parse("dns.quad9.net").unwrap();
-        let mut buf = Vec::new();
+        let mut buf = header_for(1);
         n.encode_uncompressed(&mut buf);
-        assert_eq!(buf.len(), n.wire_len());
-        let mut pos = 0;
-        let back = Name::decode(&buf, &mut pos).unwrap();
-        assert_eq!(back, n);
-        assert_eq!(pos, buf.len());
+        assert_eq!(buf.len(), Header::WIRE_LEN + n.wire_len());
+        buf.extend_from_slice(&A_IN);
+        assert_eq!(qnames(&buf), [n]);
     }
 
     #[test]
     fn compression_reuses_suffixes() {
         let a = Name::parse("one.example.com").unwrap();
         let b = Name::parse("two.example.com").unwrap();
-        let mut buf = Vec::new();
+        let mut buf = header_for(2);
         let mut table = CompressionTable::new();
         a.encode_compressed(&mut buf, &mut table);
+        buf.extend_from_slice(&A_IN);
         let first_len = buf.len();
         b.encode_compressed(&mut buf, &mut table);
         // "two" label (4 bytes) + 2-byte pointer instead of full 17 bytes.
         assert_eq!(buf.len() - first_len, 4 + 2);
-        let mut pos = 0;
-        assert_eq!(Name::decode(&buf, &mut pos).unwrap(), a);
-        assert_eq!(Name::decode(&buf, &mut pos).unwrap(), b);
-        assert_eq!(pos, buf.len());
+        buf.extend_from_slice(&A_IN);
+        assert_eq!(qnames(&buf), [a, b]);
     }
 
     #[test]
@@ -407,48 +346,6 @@ mod tests {
         let first = buf.len();
         a.encode_compressed(&mut buf, &mut table);
         assert_eq!(buf.len() - first, 2);
-    }
-
-    #[test]
-    fn forward_pointer_rejected() {
-        // Pointer at offset 0 pointing to itself.
-        let buf = [0xc0, 0x00];
-        let mut pos = 0;
-        assert!(matches!(
-            Name::decode(&buf, &mut pos),
-            Err(WireError::BadPointer(0))
-        ));
-    }
-
-    #[test]
-    fn truncated_label_rejected() {
-        let buf = [3, b'a', b'b']; // promises 3 bytes, gives 2
-        let mut pos = 0;
-        assert!(matches!(
-            Name::decode(&buf, &mut pos),
-            Err(WireError::Truncated { .. })
-        ));
-    }
-
-    #[test]
-    fn bad_label_type_rejected() {
-        let buf = [0b1000_0001, 0x00];
-        let mut pos = 0;
-        assert!(matches!(
-            Name::decode(&buf, &mut pos),
-            Err(WireError::BadLabelType(_))
-        ));
-    }
-
-    #[test]
-    fn decode_is_case_insensitive() {
-        let mut buf = Vec::new();
-        buf.push(3);
-        buf.extend_from_slice(b"WwW");
-        buf.push(0);
-        let mut pos = 0;
-        let n = Name::decode(&buf, &mut pos).unwrap();
-        assert_eq!(n.to_string(), "www.");
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Resource records: types, classes and RDATA codecs (RFC 1035 §3.2, §4.1.3).
+//! Resource records: types, classes and RDATA encoding (RFC 1035 §3.2,
+//! §4.1.3). Decoding is [`RrView::to_record`](crate::RrView::to_record), a
+//! copy out of a validated [`MessageView`](crate::MessageView).
 
 use crate::error::WireError;
 use crate::name::{CompressionTable, Name};
@@ -218,115 +220,6 @@ impl RData {
         }
         Ok(())
     }
-
-    /// Decode RDATA of `rtype` from `msg[start..start+len]`, with access to
-    /// the whole message for compression pointers in legacy types.
-    pub fn decode(
-        msg: &[u8],
-        rtype: RecordType,
-        start: usize,
-        len: usize,
-    ) -> Result<Self, WireError> {
-        let end = start + len;
-        let slice = msg
-            .get(start..end)
-            .ok_or(WireError::Truncated { expecting: "rdata" })?;
-        match rtype {
-            RecordType::A => {
-                let arr: [u8; 4] = slice.try_into().map_err(|_| WireError::BadRdataLength {
-                    rtype: rtype.to_u16(),
-                    found: len,
-                })?;
-                Ok(RData::A(Ipv4Addr::from(arr)))
-            }
-            RecordType::Aaaa => {
-                let arr: [u8; 16] = slice.try_into().map_err(|_| WireError::BadRdataLength {
-                    rtype: rtype.to_u16(),
-                    found: len,
-                })?;
-                Ok(RData::Aaaa(Ipv6Addr::from(arr)))
-            }
-            RecordType::Ns | RecordType::Cname | RecordType::Ptr => {
-                let mut pos = start;
-                let name = Name::decode(msg, &mut pos)?;
-                if pos != end {
-                    return Err(WireError::BadRdataLength {
-                        rtype: rtype.to_u16(),
-                        found: len,
-                    });
-                }
-                Ok(match rtype {
-                    RecordType::Ns => RData::Ns(name),
-                    RecordType::Cname => RData::Cname(name),
-                    _ => RData::Ptr(name),
-                })
-            }
-            RecordType::Soa => {
-                let mut pos = start;
-                let mname = Name::decode(msg, &mut pos)?;
-                let rname = Name::decode(msg, &mut pos)?;
-                let fixed = msg.get(pos..pos + 20).ok_or(WireError::Truncated {
-                    expecting: "soa fields",
-                })?;
-                let word = |i: usize| {
-                    u32::from_be_bytes([fixed[i], fixed[i + 1], fixed[i + 2], fixed[i + 3]])
-                };
-                pos += 20;
-                if pos != end {
-                    return Err(WireError::BadRdataLength {
-                        rtype: rtype.to_u16(),
-                        found: len,
-                    });
-                }
-                Ok(RData::Soa(SoaData {
-                    mname,
-                    rname,
-                    serial: word(0),
-                    refresh: word(4),
-                    retry: word(8),
-                    expire: word(12),
-                    minimum: word(16),
-                }))
-            }
-            RecordType::Mx => {
-                if len < 3 {
-                    return Err(WireError::BadRdataLength {
-                        rtype: rtype.to_u16(),
-                        found: len,
-                    });
-                }
-                let preference = u16::from_be_bytes([slice[0], slice[1]]);
-                let mut pos = start + 2;
-                let exchange = Name::decode(msg, &mut pos)?;
-                if pos != end {
-                    return Err(WireError::BadRdataLength {
-                        rtype: rtype.to_u16(),
-                        found: len,
-                    });
-                }
-                Ok(RData::Mx {
-                    preference,
-                    exchange,
-                })
-            }
-            RecordType::Txt => {
-                let mut segments = Vec::new();
-                let mut i = 0usize;
-                while i < slice.len() {
-                    let seg_len = slice[i] as usize;
-                    let seg = slice
-                        .get(i + 1..i + 1 + seg_len)
-                        .ok_or(WireError::Truncated {
-                            expecting: "txt segment",
-                        })?;
-                    segments.push(seg.to_vec());
-                    i += 1 + seg_len;
-                }
-                Ok(RData::Txt(segments))
-            }
-            RecordType::Opt | RecordType::Other(_) => Ok(RData::Opaque(slice.to_vec())),
-        }
-    }
 }
 
 /// A complete resource record.
@@ -385,42 +278,20 @@ impl ResourceRecord {
         buf[len_pos..len_pos + 2].copy_from_slice(&(rdlen as u16).to_be_bytes());
         Ok(())
     }
-
-    /// Decode a record at `msg[*pos..]`, advancing `*pos` past it.
-    pub fn decode(msg: &[u8], pos: &mut usize) -> Result<Self, WireError> {
-        let name = Name::decode(msg, pos)?;
-        let fixed = msg.get(*pos..*pos + 10).ok_or(WireError::Truncated {
-            expecting: "rr fixed fields",
-        })?;
-        let rtype = RecordType::from_u16(u16::from_be_bytes([fixed[0], fixed[1]]));
-        let class = RecordClass::from_u16(u16::from_be_bytes([fixed[2], fixed[3]]));
-        let ttl = u32::from_be_bytes([fixed[4], fixed[5], fixed[6], fixed[7]]);
-        let rdlen = u16::from_be_bytes([fixed[8], fixed[9]]) as usize;
-        *pos += 10;
-        let rdata = RData::decode(msg, rtype, *pos, rdlen)?;
-        *pos += rdlen;
-        Ok(ResourceRecord {
-            name,
-            rtype,
-            class,
-            ttl,
-            rdata,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Header, Message};
 
+    /// `rr` back out of the answer section of an encoded message.
     fn round_trip(rr: &ResourceRecord) -> ResourceRecord {
-        let mut buf = Vec::new();
-        let mut table = CompressionTable::new();
-        rr.encode(&mut buf, &mut table).unwrap();
-        let mut pos = 0;
-        let back = ResourceRecord::decode(&buf, &mut pos).unwrap();
-        assert_eq!(pos, buf.len());
-        back
+        let mut msg = Message::new(Header::new_query(1));
+        msg.answers.push(rr.clone());
+        let mut back = Message::decode(&msg.encode().unwrap()).unwrap();
+        assert_eq!(back.answers.len(), 1);
+        back.answers.remove(0)
     }
 
     #[test]
@@ -516,25 +387,6 @@ mod tests {
         assert!(matches!(
             rr.encode(&mut buf, &mut table),
             Err(WireError::TxtSegmentTooLong(256))
-        ));
-    }
-
-    #[test]
-    fn wrong_a_length_rejected() {
-        // Hand-build an A record with 3-byte RDATA.
-        let mut buf = Vec::new();
-        Name::parse("a.example")
-            .unwrap()
-            .encode_uncompressed(&mut buf);
-        buf.extend_from_slice(&1u16.to_be_bytes()); // type A
-        buf.extend_from_slice(&1u16.to_be_bytes()); // class IN
-        buf.extend_from_slice(&0u32.to_be_bytes()); // ttl
-        buf.extend_from_slice(&3u16.to_be_bytes()); // rdlen = 3
-        buf.extend_from_slice(&[1, 2, 3]);
-        let mut pos = 0;
-        assert!(matches!(
-            ResourceRecord::decode(&buf, &mut pos),
-            Err(WireError::BadRdataLength { rtype: 1, found: 3 })
         ));
     }
 

@@ -1,12 +1,14 @@
 //! Zero-copy borrowed views over DNS wire messages.
 //!
-//! [`MessageView::parse`] validates an entire message in one pass — the same
-//! checks, in the same order, as [`Message::decode`](crate::Message::decode) —
-//! but builds no owned values: names stay as offsets into the input buffer and
-//! are resolved lazily through [`NameRef`], compression pointers included.
-//! After a successful parse, the section iterators and RDATA accessors are
-//! infallible and allocation-free, which is what lets the scanner classify
-//! millions of DoT responses per epoch without touching the heap.
+//! [`MessageView::parse`] is the crate's only DNS validation walk: it checks
+//! an entire message in one pass but builds no owned values. Names stay as
+//! offsets into the input buffer and are resolved lazily through
+//! [`NameRef`], compression pointers included. After a successful parse, the
+//! section iterators and RDATA accessors are infallible and allocation-free,
+//! which is what lets the scanner classify millions of DoT responses per
+//! epoch without touching the heap. The owned decoder,
+//! [`Message::decode`](crate::Message::decode), is this parse followed by
+//! [`MessageView::to_message`], an infallible copy.
 //!
 //! The view layer deliberately avoids slice combinators and `Option`-returning
 //! std helpers on the parse path; every bound is checked with explicit
@@ -15,9 +17,11 @@
 
 use crate::error::WireError;
 use crate::header::{Header, Rcode};
-use crate::rr::{RecordClass, RecordType};
+use crate::message::{Message, Question};
+use crate::name::Name;
+use crate::rr::{RData, RecordClass, RecordType, ResourceRecord, SoaData};
 use crate::MAX_NAME_LEN;
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Big-endian u16 at `at`. Callers must have bounds-checked `at + 2`.
 #[inline]
@@ -27,10 +31,11 @@ fn be16(msg: &[u8], at: usize) -> u16 {
 
 /// Walk a (possibly compressed) name without materialising labels.
 ///
-/// Mirrors [`Name::decode`](crate::Name::decode) exactly: same truncation
-/// points, same `BadPointer` rule (targets must precede the cursor), same
-/// 64-jump `PointerLoop` limit and 255-octet `NameTooLong` cap. On success
-/// `*pos` is advanced past the inline representation.
+/// The RFC 1035 name checks: truncation of a length byte, label or pointer,
+/// the `BadPointer` rule (targets must precede the cursor), the 64-jump
+/// `PointerLoop` limit and the 255-octet `NameTooLong` cap. On success
+/// `*pos` is advanced past the inline representation; pointers are followed
+/// without moving it.
 fn skip_name(msg: &[u8], pos: &mut usize) -> Result<(), WireError> {
     let mut total = 1usize;
     let mut cursor = *pos;
@@ -99,10 +104,10 @@ fn skip_name(msg: &[u8], pos: &mut usize) -> Result<(), WireError> {
 
 /// Validate RDATA of `rtype` at `msg[start..start+len]` without decoding it.
 ///
-/// Reproduces every error path of [`RData::decode`](crate::RData::decode):
-/// fixed-layout length checks for `A`/`AAAA`, exact-consume checks for the
-/// name-bearing types, TXT segment truncation, and the `Truncated { "rdata" }`
-/// bounds check that precedes them all.
+/// The `Truncated { "rdata" }` bounds check comes first, then the layout of
+/// the type: fixed lengths for `A`/`AAAA`, names that consume the RDATA
+/// exactly for the name-bearing types, and TXT segments that stay inside it.
+/// [`RrView::rdata`] copies out exactly the layout checked here.
 fn check_rdata(msg: &[u8], rtype: RecordType, start: usize, len: usize) -> Result<(), WireError> {
     let end = start + len;
     if end > msg.len() {
@@ -227,11 +232,6 @@ impl<'a> NameRef<'a> {
         }
     }
 
-    /// True if this is the root name (single zero octet).
-    pub fn is_root(&self) -> bool {
-        self.start < self.msg.len() && self.msg[self.start] == 0
-    }
-
     /// Case-insensitive comparison against a presentation-format name such
     /// as `"probe.example.com"` (trailing dot optional, no escapes).
     pub fn eq_presentation(&self, mut expect: &str) -> bool {
@@ -262,11 +262,12 @@ impl<'a> NameRef<'a> {
         }
     }
 
-    /// Materialise an owned [`Name`](crate::Name). Allocates — for reporting
-    /// and tests, never for hot-path classification.
-    pub fn to_name(&self) -> Result<crate::Name, WireError> {
-        let mut pos = self.start;
-        crate::Name::decode(self.msg, &mut pos)
+    /// Copy out an owned, lower-cased [`Name`]. Infallible: a `NameRef`
+    /// exists only inside a message [`MessageView::parse`] validated.
+    /// Allocates — for the owned decoder and reporting, never for hot-path
+    /// classification.
+    pub fn to_name(&self) -> Name {
+        Name::from_wire_labels(self.label_iter())
     }
 }
 
@@ -340,6 +341,17 @@ pub struct QuestionView<'a> {
     pub qclass: RecordClass,
 }
 
+impl QuestionView<'_> {
+    /// Copy out an owned [`Question`].
+    pub fn to_question(&self) -> Question {
+        Question {
+            qname: self.qname.to_name(),
+            qtype: self.qtype,
+            qclass: self.qclass,
+        }
+    }
+}
+
 /// One resource record, borrowed; RDATA stays as a byte range.
 #[derive(Debug, Clone, Copy)]
 pub struct RrView<'a> {
@@ -357,12 +369,71 @@ pub struct RrView<'a> {
 }
 
 impl<'a> RrView<'a> {
-    /// Absolute byte range of the RDATA within the message, as
-    /// `(start, len)` — pair it with [`RData::decode`](crate::RData::decode)
-    /// to materialise an owned value (compression pointers in legacy types
-    /// need the whole message, so a bare slice would not do).
-    pub fn rdata_range(&self) -> (usize, usize) {
-        (self.rdata_start, self.rdata_len)
+    /// Copy out an owned [`ResourceRecord`].
+    pub fn to_record(&self) -> ResourceRecord {
+        ResourceRecord {
+            name: self.name.to_name(),
+            rtype: self.rtype,
+            class: self.class,
+            ttl: self.ttl,
+            rdata: self.rdata(),
+        }
+    }
+
+    /// Copy out the RDATA as an owned [`RData`], reading the layout
+    /// `check_rdata` validated for this type. Names inside it may be
+    /// compressed, so they resolve against the whole message.
+    pub fn rdata(&self) -> RData {
+        let bytes = self.rdata_bytes();
+        let name_at = |start| NameRef {
+            msg: self.msg,
+            start,
+        };
+        let mut soa_rname = self.rdata_start;
+        match (self.rtype, bytes) {
+            (RecordType::A, &[a, b, c, d]) => RData::A(Ipv4Addr::new(a, b, c, d)),
+            (RecordType::Aaaa, _) if bytes.len() == 16 => {
+                let mut octets = [0u8; 16];
+                octets.copy_from_slice(bytes);
+                RData::Aaaa(Ipv6Addr::from(octets))
+            }
+            (RecordType::Ns, _) => RData::Ns(name_at(self.rdata_start).to_name()),
+            (RecordType::Cname, _) => RData::Cname(name_at(self.rdata_start).to_name()),
+            (RecordType::Ptr, _) => RData::Ptr(name_at(self.rdata_start).to_name()),
+            (RecordType::Mx, &[hi, lo, ..]) => RData::Mx {
+                preference: u16::from_be_bytes([hi, lo]),
+                exchange: name_at(self.rdata_start + 2).to_name(),
+            },
+            // The guard's walk over `mname` finds where `rname` starts.
+            (RecordType::Soa, _)
+                if bytes.len() >= 20 && skip_name(self.msg, &mut soa_rname).is_ok() =>
+            {
+                let fixed = &bytes[bytes.len() - 20..];
+                let word = |i: usize| {
+                    u32::from_be_bytes([fixed[i], fixed[i + 1], fixed[i + 2], fixed[i + 3]])
+                };
+                RData::Soa(SoaData {
+                    mname: name_at(self.rdata_start).to_name(),
+                    rname: name_at(soa_rname).to_name(),
+                    serial: word(0),
+                    refresh: word(4),
+                    retry: word(8),
+                    expire: word(12),
+                    minimum: word(16),
+                })
+            }
+            (RecordType::Txt, _) => {
+                let mut segments = Vec::new();
+                let mut rest = bytes;
+                while let [len, tail @ ..] = rest {
+                    let (segment, after) = tail.split_at(usize::from(*len).min(tail.len()));
+                    segments.push(segment.to_vec());
+                    rest = after;
+                }
+                RData::Txt(segments)
+            }
+            _ => RData::Opaque(bytes.to_vec()),
+        }
     }
 
     /// The raw RDATA bytes.
@@ -501,10 +572,10 @@ impl<'a> Iterator for RrIter<'a> {
 
 /// A borrowed, validated view of a complete DNS message.
 ///
-/// Construction via [`MessageView::parse`] performs the full strict
-/// validation of [`Message::decode`](crate::Message::decode) — identical
-/// typed errors on identical inputs — after which every accessor is
-/// allocation-free and panic-free.
+/// Construction via [`MessageView::parse`] performs the crate's full strict
+/// validation, so [`Message::decode`](crate::Message::decode) returns exactly
+/// its typed errors. Afterwards every accessor is allocation-free and
+/// panic-free, and [`MessageView::to_message`] copies the message out.
 #[derive(Debug, Clone, Copy)]
 pub struct MessageView<'a> {
     msg: &'a [u8],
@@ -515,8 +586,9 @@ pub struct MessageView<'a> {
 }
 
 impl<'a> MessageView<'a> {
-    /// Validate `msg` and build a view. Trailing bytes are an error, exactly
-    /// as in the owned decoder.
+    /// Validate `msg` and build a view. Trailing bytes are an error, as is an
+    /// OPT record outside the additional section or more than one OPT record
+    /// (RFC 6891 §6.1.1).
     pub fn parse(msg: &'a [u8]) -> Result<Self, WireError> {
         let mut pos = 0usize;
         let header = Header::decode(msg, &mut pos)?;
@@ -572,11 +644,6 @@ impl<'a> MessageView<'a> {
         })
     }
 
-    /// The underlying wire bytes.
-    pub fn wire_bytes(&self) -> &'a [u8] {
-        self.msg
-    }
-
     /// The decoded header (fixed 12 octets; counts as found on the wire).
     pub fn header(&self) -> &Header {
         &self.header
@@ -592,11 +659,6 @@ impl<'a> MessageView<'a> {
         self.header.rcode
     }
 
-    /// Number of answer records.
-    pub fn answer_count(&self) -> u16 {
-        self.header.ancount
-    }
-
     /// Iterate the question section.
     pub fn questions(&self) -> QuestionIter<'a> {
         QuestionIter {
@@ -604,12 +666,6 @@ impl<'a> MessageView<'a> {
             pos: Header::WIRE_LEN,
             remaining: self.header.qdcount,
         }
-    }
-
-    /// First question, if any — the common single-question case.
-    pub fn first_question(&self) -> Option<QuestionView<'a>> {
-        let mut iter = self.questions();
-        iter.step()
     }
 
     /// Iterate the answer section.
@@ -655,15 +711,32 @@ impl<'a> MessageView<'a> {
             }
         }
     }
+
+    /// Copy the whole message out as an owned [`Message`], each section
+    /// sized from its header count. Infallible: `parse` validated every
+    /// byte the copy reads.
+    pub fn to_message(&self) -> Message {
+        let copy = |section: RrIter<'a>| {
+            let mut records = Vec::with_capacity(section.remaining.into());
+            records.extend(section.map(|rr| rr.to_record()));
+            records
+        };
+        let mut questions = Vec::with_capacity(self.header.qdcount.into());
+        questions.extend(self.questions().map(|q| q.to_question()));
+        Message {
+            header: self.header,
+            questions,
+            answers: copy(self.answers()),
+            authority: copy(self.authority()),
+            additional: copy(self.additional()),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder;
-    use crate::name::Name;
-    use crate::rr::{RData, ResourceRecord};
-    use crate::Message;
 
     fn response_fixture() -> Vec<u8> {
         let q = builder::query(0x1234, "www.example.com", RecordType::A).unwrap();
@@ -713,9 +786,26 @@ mod tests {
         assert!(second.name.eq_presentation("cdn.example.com"));
         assert!(second.name.eq_presentation("CDN.Example.COM."));
         assert!(!second.name.eq_presentation("cdn.example.net"));
+        assert_eq!(second.name.to_name().to_string(), "cdn.example.com.");
+    }
+
+    #[test]
+    fn labels_keep_wire_case_but_copy_out_lower_case() {
+        let mut bytes = Vec::new();
+        Header {
+            qdcount: 1,
+            ..Header::new_query(1)
+        }
+        .encode(&mut bytes);
+        bytes.extend_from_slice(b"\x03WwW\x07ExAmPlE\x00\x00\x01\x00\x01");
+        let view = MessageView::parse(&bytes).unwrap();
+        let qname = view.questions().next().unwrap().qname;
+        let labels: Vec<&[u8]> = qname.label_iter().collect();
+        assert_eq!(labels, [&b"WwW"[..], b"ExAmPlE"]);
+        assert_eq!(qname.to_name().to_string(), "www.example.");
         assert_eq!(
-            second.name.to_name().unwrap().to_string(),
-            "cdn.example.com."
+            Message::decode(&bytes).unwrap().questions[0].qname,
+            qname.to_name()
         );
     }
 

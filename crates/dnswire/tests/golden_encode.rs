@@ -2,9 +2,11 @@
 //! compression, so these pin the exact bytes [`Message::encode`] writes
 //! for three messages: the codec bench's eight-answer response, owner
 //! names sharing suffixes at several depths, and a message long enough
-//! that later names fall past the 0x3fff pointer-offset limit. The
-//! fixtures under `tests/fixtures/` (`golden_*.hex`) use the adversarial
-//! corpus's format: whitespace-separated hex octets, `#` comments.
+//! that later names fall past the 0x3fff pointer-offset limit. Each
+//! fixture also decodes back to the message it was built from, which
+//! checks the owned copy where compression is hardest. The fixtures under
+//! `tests/fixtures/` (`golden_*.hex`) use the adversarial corpus's format:
+//! whitespace-separated hex octets, `#` comments.
 
 use dnswire::edns::{EdnsOption, OptRecord};
 use dnswire::{builder, Message, Name, RData, RecordType, ResourceRecord};
@@ -139,6 +141,16 @@ fn assert_golden(label: &str, msg: &Message, fixture: &str) {
             got[at], expected[at]
         );
     }
+    let mut built = msg.clone();
+    built.header.qdcount = msg.questions.len() as u16;
+    built.header.ancount = msg.answers.len() as u16;
+    built.header.nscount = msg.authority.len() as u16;
+    built.header.arcount = msg.additional.len() as u16;
+    assert_eq!(
+        Message::decode(&expected).expect("golden fixture decodes"),
+        built,
+        "{label}: the fixture does not decode back to the built message"
+    );
 }
 
 #[test]

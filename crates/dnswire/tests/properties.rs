@@ -1,8 +1,11 @@
 //! Property-based tests: the wire codec must round-trip every value it can
-//! represent and never panic on hostile bytes.
+//! represent and never panic on hostile bytes. The owned decoder is
+//! [`MessageView::parse`] plus a copy, so the round trips also check the
+//! copy: view → owned → encode → view, on generated messages and on
+//! byte-flipped, truncated and random inputs.
 
 use dnswire::{
-    builder, FrameDecoder, Header, Message, Name, Question, RData, Rcode, RecordType,
+    builder, FrameDecoder, Header, Message, MessageView, Name, Question, RData, Rcode, RecordType,
     ResourceRecord, SoaData,
 };
 use proptest::prelude::*;
@@ -63,25 +66,60 @@ fn arb_message() -> impl Strategy<Value = Message> {
         arb_name(),
         proptest::collection::vec(arb_record(), 0..5),
         proptest::collection::vec(arb_record(), 0..3),
+        proptest::collection::vec(arb_record(), 0..3),
     )
-        .prop_map(|(id, qname, answers, additional)| {
+        .prop_map(|(id, qname, answers, authority, additional)| {
             let mut msg = Message::new(Header::new_query(id));
             msg.questions.push(Question::new(qname, RecordType::A));
             msg.answers = answers;
+            msg.authority = authority;
             msg.additional = additional;
             msg
         })
 }
 
+/// `msg` with the header counts `encode` writes, as a decode returns it.
+fn with_counts(mut msg: Message) -> Message {
+    msg.header.qdcount = msg.questions.len() as u16;
+    msg.header.ancount = msg.answers.len() as u16;
+    msg.header.nscount = msg.authority.len() as u16;
+    msg.header.arcount = msg.additional.len() as u16;
+    msg
+}
+
+/// A one-question query around raw qname bytes (type A, class IN).
+fn question_wire(qname: &[u8]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    Header {
+        qdcount: 1,
+        ..Header::new_query(1)
+    }
+    .encode(&mut wire);
+    wire.extend_from_slice(qname);
+    wire.extend_from_slice(&[0, 1, 0, 1]);
+    wire
+}
+
+/// Whatever `parse` accepts copies out to a message that encodes, and
+/// decoding that encoding gives the same message, byte-stable on re-encode.
+fn assert_copy_round_trips(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(view) = MessageView::parse(bytes) {
+        let owned = view.to_message();
+        let wire = owned.encode().expect("a copied message encodes");
+        let back = Message::decode(&wire).expect("a copied message decodes");
+        prop_assert_eq!(&back, &owned);
+        prop_assert_eq!(back.encode().expect("re-encodes"), wire);
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn name_round_trips_uncompressed(name in arb_name()) {
-        let mut buf = Vec::new();
-        name.encode_uncompressed(&mut buf);
-        let mut pos = 0;
-        let back = Name::decode(&buf, &mut pos).unwrap();
-        prop_assert_eq!(back, name);
-        prop_assert_eq!(pos, buf.len());
+        let mut qname = Vec::new();
+        name.encode_uncompressed(&mut qname);
+        let back = Message::decode(&question_wire(&qname)).unwrap();
+        prop_assert_eq!(&back.questions[0].qname, &name);
     }
 
     #[test]
@@ -94,23 +132,49 @@ proptest! {
     fn message_round_trips(msg in arb_message()) {
         let bytes = msg.encode().unwrap();
         let back = Message::decode(&bytes).unwrap();
-        prop_assert_eq!(&back.questions, &msg.questions);
-        prop_assert_eq!(&back.answers, &msg.answers);
-        prop_assert_eq!(&back.additional, &msg.additional);
-        prop_assert_eq!(back.id(), msg.id());
+        prop_assert_eq!(&back, &with_counts(msg));
         // Re-encoding the decoded message is byte-stable.
-        prop_assert_eq!(back.encode().unwrap(), bytes);
+        prop_assert_eq!(&back.encode().unwrap(), &bytes);
+        // The view's borrowing accessors agree with the owned copy.
+        let view = MessageView::parse(&bytes).unwrap();
+        let a_of = |rr: &ResourceRecord| match rr.rdata {
+            RData::A(addr) => Some(addr),
+            _ => None,
+        };
+        prop_assert_eq!(view.first_a_answer(), back.answers.iter().find_map(a_of));
+        for (q, owned) in view.questions().zip(&back.questions) {
+            prop_assert!(q.qname.eq_presentation(&owned.qname.to_string()));
+        }
+        let records = view.answers().chain(view.authority()).chain(view.additional());
+        let owned = back.answers.iter().chain(&back.authority).chain(&back.additional);
+        for (rr, owned) in records.zip(owned) {
+            prop_assert!(rr.name.eq_presentation(&owned.name.to_string()));
+            prop_assert_eq!(rr.rdata_a(), a_of(owned));
+        }
     }
 
     #[test]
-    fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Message::decode(&bytes); // may Err, must not panic
+    fn hostile_inputs_copy_out_and_round_trip(
+        msg in arb_message(),
+        flips in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..4),
+        keep in any::<u16>(),
+        random in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let bytes = msg.encode().unwrap();
+        let mut flipped = bytes.clone();
+        for (at, val) in flips {
+            let at = at as usize % flipped.len();
+            flipped[at] = val;
+        }
+        let truncated = &bytes[..keep as usize % (bytes.len() + 1)];
+        for input in [&flipped[..], truncated, &random] {
+            assert_copy_round_trips(input)?;
+        }
     }
 
     #[test]
     fn name_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let mut pos = 0;
-        let _ = Name::decode(&bytes, &mut pos);
+        let _ = Message::decode(&question_wire(&bytes)); // may Err, must not panic
     }
 
     #[test]

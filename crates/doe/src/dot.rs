@@ -96,34 +96,23 @@ impl DotSession {
         self.tap.take()
     }
 
-    /// Send one query over the session.
+    /// Send one query over the session: pad, encode and frame it, exchange
+    /// it through [`Self::query_wire`], then decode the reply.
     pub fn query(&mut self, net: &mut Network, query: &Message) -> Result<QueryReply, QueryError> {
-        let mut query = query.clone();
         let key = u64::from(query.header.id) | (u64::from(self.queries_sent) << 16);
-        if let Some(block) = self.policy.query_block(key) {
-            query.pad_to_block(block)?;
-        }
-        let framed = frame_message(&query.encode()?)?;
-        let before = self.stream.elapsed();
-        if let Some(tap) = self.tap.as_mut() {
-            tap.record(before, TapDirection::Up, framed.len());
-        }
-        let resp = self.stream.request(net, &framed)?;
-        self.decoder.push(&resp);
-        let Some(frame) = self.decoder.next_message() else {
-            return Err(QueryError::Protocol(
-                "no complete DoT response frame".into(),
-            ));
+        let wire = match self.policy.query_block(key) {
+            Some(block) => {
+                let mut padded = query.clone();
+                padded.pad_to_block(block)?;
+                padded.encode()?
+            }
+            None => query.encode()?,
         };
-        let message = Message::decode(&frame)?;
-        self.queries_sent += 1;
-        if let Some(tap) = self.tap.as_mut() {
-            // The observer sees the response with its 2-byte length prefix.
-            tap.record(self.stream.elapsed(), TapDirection::Down, frame.len() + 2);
-        }
+        let reply = self.query_wire(net, &frame_message(&wire)?)?;
+        let message = Message::decode(&reply.frame)?;
         Ok(QueryReply {
             message,
-            latency: self.stream.elapsed() - before,
+            latency: reply.latency,
             transport: TransportInfo {
                 protocol: DnsTransport::Dot,
                 verify: Some(self.stream.verify_result().clone()),
@@ -160,6 +149,7 @@ impl DotSession {
         };
         self.queries_sent += 1;
         if let Some(tap) = self.tap.as_mut() {
+            // The observer sees the response with its 2-byte length prefix.
             tap.record(self.stream.elapsed(), TapDirection::Down, frame.len() + 2);
         }
         Ok(WireReply {

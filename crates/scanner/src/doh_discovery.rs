@@ -105,9 +105,9 @@ pub fn discover_doh(
             .and_then(|q| client.query_once_wire(net, source, &q).ok());
         let elapsed = span.elapsed_us(net.charged().as_micros());
         net.metrics_mut().observe(probe_us, elapsed);
-        // The raw HTTP body is classified through the borrowing view —
-        // a body that fails wire validation does not count as DoH, which
-        // is exactly what the owned decode inside `query_once` enforced.
+        // The raw HTTP body is classified through the borrowing view — a
+        // body that fails wire validation does not count as DoH. The owned
+        // decode inside `query_once` is this same parse plus a copy.
         let view = reply
             .as_ref()
             .and_then(|reply| MessageView::parse(&reply.frame).ok());

@@ -147,8 +147,8 @@ impl ProbeTemplate {
 
 /// Probe one candidate: TLS session, stamped query frame, chain
 /// classification. The reply is parsed with the borrowing [`MessageView`];
-/// a reply that fails the (owned-equivalent) wire validation classifies as
-/// [`VerifyOutcome::NotDns`], exactly like the owned decoder's error did.
+/// a reply that fails its wire validation, the same walk the owned decoder
+/// runs, classifies as [`VerifyOutcome::NotDns`].
 fn verify_one(
     net: &mut Network,
     source: Ipv4Addr,

@@ -15,15 +15,15 @@ cargo build --release --offline
 echo "==> tier-1: cargo test -q"
 cargo test -q --offline --workspace
 
-echo "==> dnswire: owned-vs-view differential + adversarial corpus + golden encode"
-# The zero-copy view decoder must accept/reject byte-for-byte like the
-# owned decoder, with the same error variants, on generated messages,
-# mutation fuzz and the pinned adversarial fixtures. The scan hot paths
-# classify replies through the view, so this equivalence is what makes
-# the 2.5M-host sweep trustworthy. The golden fixtures pin the exact
-# bytes the owned encoder writes: round trips would also accept a
-# different but valid name compression.
-cargo test -q --offline -p dnswire --test differential --test adversarial \
+echo "==> dnswire: round trips + pinned errors + pinned bytes"
+# `MessageView::parse` is the only DNS validation walk; the owned
+# `Message::decode` is that parse plus a copy. The gate checks that the
+# copy round-trips (view -> owned -> encode -> view) on generated
+# messages and on byte-flipped, truncated and random inputs; that every
+# adversarial fixture is rejected with its pinned error variant; and the
+# exact bytes the owned encoder writes, since round trips would also
+# accept a different but valid name compression.
+cargo test -q --offline -p dnswire --test properties --test adversarial \
     --test golden_encode
 
 echo "==> telemetry: repro --metrics determinism (shards 1 vs 8)"
