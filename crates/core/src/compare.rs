@@ -362,12 +362,12 @@ mod tests {
         assert_eq!(by_name("DNS-over-TLS").provides_fallback, Grade::Yes);
         assert_eq!(by_name("DNS-over-HTTPS").provides_fallback, Grade::No);
 
-        // DNSCrypt's construction is not TLS — its module has no tlssim
-        // handshake, only the bespoke sealed envelope.
+        // DNSCrypt's construction is not TLS but a bespoke sealed
+        // envelope (its own key exchange and AEAD).
         assert_eq!(by_name("DNSCrypt").uses_standard_tls, Grade::No);
 
-        // DoQ: 1-RTT setup over UDP — its session test shows setup costs a
-        // single datagram exchange, unlike DoT's TCP+TLS.
+        // DoQ: the draft's setup is one round trip over UDP, unlike DoT's
+        // TCP handshake plus TLS.
         assert_eq!(by_name("DNS-over-QUIC").minor_latency, Grade::Yes);
 
         // Maturity: exactly two protocols are full IETF standards.

@@ -308,18 +308,25 @@ mod tests {
     fn queries_are_padded() {
         let (mut net, client, resolver, store) = world();
         let mut dot = DotClient::new(TlsClientConfig::strict(store, now()));
-        let mut session = dot
-            .session(&mut net, client, resolver, Some("cloudflare-dns.com"))
-            .unwrap();
         let q = builder::query(7, "pad.probe.example", RecordType::A).unwrap();
-        let reply = session.query(&mut net, &q).unwrap();
-        assert_eq!(reply.message.rcode(), Rcode::NoError);
-        // The response echoes the (padded) question; verify padding landed
-        // on the wire by checking the query the client *would* send.
-        let mut padded = q.clone();
-        padded.pad_to_block(128).unwrap();
-        assert_eq!(padded.encode().unwrap().len() % 128, 0);
-        session.close(&mut net);
+        // The length of the query record an on-path observer sees.
+        let mut sent_len = |dot: &mut DotClient| {
+            let mut session = dot
+                .session(&mut net, client, resolver, Some("cloudflare-dns.com"))
+                .unwrap();
+            session.enable_tap();
+            let reply = session.query(&mut net, &q).unwrap();
+            assert_eq!(reply.message.rcode(), Rcode::NoError);
+            let tap = session.take_tap().unwrap();
+            session.close(&mut net);
+            assert_eq!(tap.messages[0].dir, TapDirection::Up);
+            tap.messages[0].wire_len
+        };
+        // One 128-octet block plus the 2-byte length prefix.
+        let padded = sent_len(&mut dot);
+        assert_eq!(padded % 128, 2);
+        dot.policy = PaddingPolicy::None;
+        assert!(sent_len(&mut dot) < padded);
     }
 
     #[test]

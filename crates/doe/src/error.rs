@@ -16,10 +16,6 @@ pub enum DnsTransport {
     Dot,
     /// DNS over HTTPS.
     Doh,
-    /// DNS over QUIC.
-    Doq,
-    /// DNSCrypt.
-    DnsCrypt,
 }
 
 impl fmt::Display for DnsTransport {
@@ -29,8 +25,6 @@ impl fmt::Display for DnsTransport {
             DnsTransport::Do53Tcp => "Do53/TCP",
             DnsTransport::Dot => "DoT",
             DnsTransport::Doh => "DoH",
-            DnsTransport::Doq => "DoQ",
-            DnsTransport::DnsCrypt => "DNSCrypt",
         };
         write!(f, "{s}")
     }

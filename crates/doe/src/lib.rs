@@ -9,12 +9,6 @@
 //!   Opportunistic usage profiles of RFC 8310 and connection reuse,
 //! * [`doh`] — DNS over HTTPS (RFC 8484, GET and POST forms, URI
 //!   templates, bootstrap resolution; Strict-profile-only by design),
-//! * [`doq`] — DNS over QUIC (draft-huitema-quic-dnsoquic: port 784,
-//!   1-RTT setup over UDP, DoT fallback) — the paper found *no* real-world
-//!   implementation, so ours demonstrates the protocol's properties for
-//!   the Table 1 comparison,
-//! * [`dnscrypt`] — DNSCrypt v2 (port 443, non-TLS construction,
-//!   certificate via TXT bootstrap),
 //! * [`responder`] / [`recursive`] — server-side: authoritative servers
 //!   (with opt-in ground-truth query logs for tests), recursive resolvers
 //!   with caches, fixed-answer filters, and flaky back-ends,
@@ -52,10 +46,8 @@
 //! assert_eq!(reply.message.rcode(), Rcode::NoError);
 //! ```
 
-pub mod dnscrypt;
 pub mod do53;
 pub mod doh;
-pub mod doq;
 pub mod dot;
 pub mod error;
 pub mod machine;
@@ -83,11 +75,5 @@ pub const DOT_PORT: u16 = 853;
 /// Port shared by DoH and HTTPS.
 pub const DOH_PORT: u16 = 443;
 
-/// Port the DNS-over-QUIC draft planned to use.
-pub const DOQ_PORT: u16 = 784;
-
 /// Clear-text DNS port.
 pub const DO53_PORT: u16 = 53;
-
-/// Port used by DNSCrypt (shared with HTTPS).
-pub const DNSCRYPT_PORT: u16 = 443;

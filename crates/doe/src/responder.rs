@@ -1,9 +1,9 @@
 //! Server-side DNS logic, transport-independent.
 //!
 //! A [`DnsResponder`] turns one query [`Message`] into one response. The
-//! same responder instance can sit behind Do53/UDP, Do53/TCP, DoT, DoH,
-//! DoQ and DNSCrypt services simultaneously — which is exactly how the
-//! study's "self-built resolver" (§4.1) is deployed.
+//! same responder instance can sit behind Do53/UDP, Do53/TCP, DoT and DoH
+//! services simultaneously — which is exactly how the study's "self-built
+//! resolver" (§4.1) is deployed.
 
 use dnswire::zone::{Zone, ZoneLookup};
 use dnswire::{builder, Message, Name, Rcode, RecordType};

@@ -161,7 +161,7 @@ pub fn check(
             |h| h.kind == HazardKind::Alloc,
             |_| false,
             "allocates on the telemetry hot path; the alloc-free per-probe \
-             budget (~23 ns) holds only if no reachable site touches the heap",
+             budget holds only if no reachable site touches the heap",
         ));
     }
     if !summary_pol.lock_entries.is_empty() {

@@ -1,5 +1,5 @@
 //! Graph fixture: the telemetry hot path allocates — a heap round
-//! trip per probe destroys the alloc-free ~23 ns budget.
+//! trip per probe destroys the alloc-free per-probe budget.
 fn label(id: u64) -> String {
     format!("probe-{id}")
 }

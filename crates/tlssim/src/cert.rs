@@ -14,10 +14,8 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct KeyId(pub u64);
 
-/// FNV-1a, the deterministic digest used for simulated signatures.
-///
-/// Public so sibling protocol simulations (DoQ, DNSCrypt) can derive
-/// domain-separated secrets from the same primitive.
+/// FNV-1a, the deterministic digest used for simulated signatures,
+/// session keys and ticket secrets.
 pub fn fnv1a(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in data {

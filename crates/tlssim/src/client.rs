@@ -39,10 +39,6 @@ pub struct TlsClientConfig {
     pub costs: TlsCosts,
     /// Whether to attempt session resumption when a ticket is cached.
     pub enable_resumption: bool,
-    /// Perform a TLS 1.2-style handshake (one extra round trip for the
-    /// Finished exchange) — the deployed norm in 2019. Resumed sessions
-    /// are unaffected.
-    pub legacy_two_rtt: bool,
 }
 
 impl TlsClientConfig {
@@ -55,7 +51,6 @@ impl TlsClientConfig {
             now,
             costs: TlsCosts::default(),
             enable_resumption: true,
-            legacy_two_rtt: true,
         }
     }
 
@@ -123,8 +118,9 @@ impl TlsConnector {
 
     /// Open a TLS session to `dst:port` from `src`.
     ///
-    /// Full handshakes cost the TCP round trip plus one TLS round trip plus
-    /// [`TlsCosts::handshake`]. With a cached ticket the hello piggybacks on
+    /// Full handshakes are TLS 1.2-style, the deployed norm in 2019: the
+    /// TCP round trip, the hello round trip, [`TlsCosts::handshake`], then
+    /// the Finished round trip. With a cached ticket the hello piggybacks on
     /// the first application flight (0 extra round trips).
     pub fn connect(
         &mut self,
@@ -207,17 +203,15 @@ impl TlsConnector {
             );
         }
         conn.charge(self.config.costs.handshake);
-        if self.config.legacy_two_rtt {
-            let fin = encode_records(&[Record {
-                ctype: ContentType::Handshake,
-                payload: HandshakeMsg::Finished.encode(),
-            }]);
-            let ack = conn.request(net, &fin)?;
-            let records = decode_records(&ack)?;
-            if !records.iter().any(|r| r.ctype == ContentType::Handshake) {
-                conn.close(net);
-                return Err(TlsError::HandshakeFailed("no finished ack".into()));
-            }
+        let fin = encode_records(&[Record {
+            ctype: ContentType::Handshake,
+            payload: HandshakeMsg::Finished.encode(),
+        }]);
+        let ack = conn.request(net, &fin)?;
+        let records = decode_records(&ack)?;
+        if !records.iter().any(|r| r.ctype == ContentType::Handshake) {
+            conn.close(net);
+            return Err(TlsError::HandshakeFailed("no finished ack".into()));
         }
         Ok(TlsStream {
             conn,

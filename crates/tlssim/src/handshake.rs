@@ -137,6 +137,20 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_a_typed_error_on_a_worker_stack() {
+        // A full-size record of `[`: without the JSON depth limit the
+        // parser recurses once per byte and overflows a 2 MB stack.
+        let record = vec![b'['; usize::from(u16::MAX)];
+        let decoded = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || HandshakeMsg::decode(&record))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(matches!(decoded, Err(TlsError::ProtocolViolation(_))));
+    }
+
+    #[test]
     fn default_costs_are_modest() {
         let c = TlsCosts::default();
         assert!(c.handshake > c.resumption);

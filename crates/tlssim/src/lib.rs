@@ -11,7 +11,7 @@
 //! * a Mozilla-CA-list-like [`cert::TrustStore`] and a
 //!   [`verify`] pass that classifies failures exactly the way the paper
 //!   reports them (expired / self-signed / invalid chain / untrusted CA),
-//! * a TLS 1.3-flavoured 1-RTT [`handshake`] over [`netsim`] TCP
+//! * a TLS 1.2-style two-round-trip [`handshake`] over [`netsim`] TCP
 //!   connections, with stateless session-ticket resumption,
 //! * record-layer framing with simulated AEAD (keystream + integrity tag
 //!   — *not* real cryptography; strength is irrelevant to the study, the

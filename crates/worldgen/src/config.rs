@@ -244,7 +244,7 @@ pub struct WorldConfig {
     /// this at 0; `repro --trace` turns it on.
     pub trace_capacity: usize,
     /// Whether the network collects telemetry (`repro --metrics`). On by
-    /// default; the overhead benchmark turns it off.
+    /// default; off makes every metric operation a no-op.
     pub metrics: bool,
 }
 

@@ -15,32 +15,50 @@ cargo build --release --offline
 echo "==> tier-1: cargo test -q"
 cargo test -q --offline --workspace
 
-echo "==> dnswire: round trips + pinned errors + pinned bytes"
+echo "==> dnswire: round trips + pinned errors + pinned bytes + allocations"
 # `MessageView::parse` is the only DNS validation walk; the owned
 # `Message::decode` is that parse plus a copy. The gate checks that the
 # copy round-trips (view -> owned -> encode -> view) on generated
 # messages and on byte-flipped, truncated and random inputs; that every
-# adversarial fixture is rejected with its pinned error variant; and the
+# adversarial fixture is rejected with its pinned error variant; the
 # exact bytes the owned encoder writes, since round trips would also
-# accept a different but valid name compression.
+# accept a different but valid name compression; and that the view parse
+# never allocates while the owned encode stays within its count.
 cargo test -q --offline -p dnswire --test properties --test adversarial \
-    --test golden_encode
+    --test golden_encode --test alloc_counts
 
-echo "==> telemetry: repro --metrics determinism (shards 1 vs 8)"
+echo "==> every experiment: repro all identical at shards 1, 3 and 8"
+# Quick-scale `repro all` on 1, 3 and 8 workers: every artifact, the
+# telemetry snapshot and stdout must be byte-identical however many
+# workers ran the measurement.
+for shards in 1 3 8; do
+    dir="target/repro-all/shards$shards"
+    rm -rf "$dir" && mkdir -p "$dir"
+    cargo run -q --release -p doe-core --bin repro --offline -- \
+        --shards "$shards" --json "$dir" --metrics "$dir/metrics.json" all \
+        >"$dir/stdout.txt"
+done
+[ -s target/repro-all/shards1/metrics.json ] || {
+    echo "FAIL: repro all wrote no telemetry snapshot" >&2
+    exit 1
+}
+for shards in 3 8; do
+    diff -rq target/repro-all/shards1 "target/repro-all/shards$shards" || {
+        echo "FAIL: repro all output differs between --shards 1 and --shards $shards" >&2
+        exit 1
+    }
+done
+echo "    $(ls target/repro-all/shards1 | wc -l) files identical across shard counts"
+rm -rf target/repro-all
+
+echo "==> telemetry: archived snapshot covers every instrumented stage"
 # A small campaign covering every instrumented stage: figure3 drives the
 # sweep + DoT verification, table4 the vantage reachability tests and
-# figure9 the stub-resolver performance comparison. The snapshot must be
-# byte-identical however many workers ran the measurement.
+# figure9 the stub-resolver performance comparison.
 mkdir -p results
 cargo run -q --release -p doe-core --bin repro --offline -- \
     --shards 1 --metrics results/metrics.json figure3 table4 figure9 >/dev/null
-cargo run -q --release -p doe-core --bin repro --offline -- \
-    --shards 8 --metrics results/metrics.shards8.json figure3 table4 figure9 >/dev/null
 [ -s results/metrics.json ] || { echo "FAIL: results/metrics.json is empty" >&2; exit 1; }
-cmp results/metrics.json results/metrics.shards8.json || {
-    echo "FAIL: telemetry snapshot differs between --shards 1 and --shards 8" >&2
-    exit 1
-}
 for series in stage.sweep.probe_us stage.verify.session_us \
               stage.reach.client_us stage.perf.query_us net.probe.sent; do
     grep -q "$series" results/metrics.json || {
@@ -48,8 +66,7 @@ for series in stage.sweep.probe_us stage.verify.session_us \
         exit 1
     }
 done
-rm -f results/metrics.shards8.json
-echo "    metrics.json identical across shard counts, all stages present"
+echo "    metrics.json archived, all stages present"
 
 echo "==> scheduler: stub-scale event determinism (shards 1 vs 8)"
 # The event-driven client fleet: the same population run on 1 and 8
