@@ -46,7 +46,7 @@ pub struct StubPacing {
     /// Total attempts per logical query (1 = never retransmit).
     pub max_attempts: u32,
     /// Query-name apex; names are unique per (client, query, attempt) so
-    /// shared resolver caches cannot couple machines to each other.
+    /// a resolver cache cannot couple machines on one shard.
     pub apex: String,
 }
 

@@ -15,13 +15,18 @@
 //!   the "busy networks or faraway nameservers" of Finding 2.4. Quad9's
 //!   back-end gets a heavy-tailed delay profile, which is what its DoH
 //!   front-end's 2-second forwarding timeout turns into SERVFAILs.
+//!
+//! The cache has two parts. Pins ([`RecursiveResolver::prewarm`]) belong
+//! to the resolver and never change once it is shared. Dynamic entries
+//! live in the serving network's shard-local state
+//! ([`netsim::Network::shard_local`]), one FIFO per answering address, so
+//! a fill made by one shard worker is never seen by another.
 
 use crate::responder::DnsResponder;
 use dnswire::{builder, Message, Name, RData, Rcode, RecordType, ResourceRecord};
 use netsim::{PeerInfo, ServiceCtx, SimDuration, SimTime};
-use parking_lot::Mutex;
 use rand::Rng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
 /// Longest-suffix map from zone apex to its authoritative server address.
@@ -101,7 +106,8 @@ impl MissDelay {
 /// Behaviour knobs for a recursive resolver.
 #[derive(Debug, Clone)]
 pub struct RecursiveConfig {
-    /// Cache entries kept (FIFO eviction).
+    /// Dynamic cache entries kept per answering address and shard (FIFO
+    /// eviction). Pins do not count against it.
     pub cache_capacity: usize,
     /// Probability of answering SERVFAIL spuriously — the background
     /// "Incorrect" rates of Table 4 (fractions of a percent).
@@ -139,6 +145,8 @@ impl Default for RecursiveConfig {
     }
 }
 
+type CacheKey = (Name, RecordType);
+
 #[derive(Debug, Clone)]
 struct CacheEntry {
     answers: Vec<ResourceRecord>,
@@ -146,31 +154,49 @@ struct CacheEntry {
     expires: SimTime,
 }
 
-/// Counters exposed for reporting and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResolverStats {
-    /// Queries handled.
-    pub queries: u64,
-    /// Cache hits.
-    pub cache_hits: u64,
-    /// Upstream fetches attempted.
-    pub upstream_queries: u64,
-    /// Upstream fetches that failed.
-    pub upstream_failures: u64,
+/// One FIFO of dynamic cache entries.
+#[derive(Default)]
+struct CacheState {
+    map: HashMap<CacheKey, CacheEntry>,
+    order: VecDeque<CacheKey>,
 }
+
+impl CacheState {
+    fn get(&self, key: &CacheKey, now: SimTime) -> Option<CacheEntry> {
+        self.map
+            .get(key)
+            .filter(|entry| entry.expires > now)
+            .cloned()
+    }
+
+    /// Insert or refresh `key`. Only a new key can evict: a refill (say of
+    /// an expired entry) replaces its entry in place, so the map does not
+    /// grow and no unrelated live entry is lost.
+    fn put(&mut self, capacity: usize, key: CacheKey, entry: CacheEntry) {
+        if let Some(slot) = self.map.get_mut(&key) {
+            *slot = entry;
+            return;
+        }
+        if self.map.len() >= capacity {
+            if let Some(victim) = self.order.pop_front() {
+                self.map.remove(&victim);
+            }
+        }
+        self.order.push_back(key.clone());
+        self.map.insert(key, entry);
+    }
+}
+
+/// Every recursive resolver's dynamic cache on one shard, keyed by the
+/// address that answered.
+#[derive(Default)]
+struct ShardCaches(BTreeMap<Ipv4Addr, CacheState>);
 
 /// A caching recursive resolver.
 pub struct RecursiveResolver {
     upstreams: UpstreamMap,
     config: RecursiveConfig,
-    cache: Mutex<CacheState>,
-    stats: Mutex<ResolverStats>,
-}
-
-#[derive(Default)]
-struct CacheState {
-    map: HashMap<(Name, RecordType), CacheEntry>,
-    order: std::collections::VecDeque<(Name, RecordType)>,
+    pins: HashMap<CacheKey, Vec<ResourceRecord>>,
 }
 
 impl RecursiveResolver {
@@ -179,63 +205,36 @@ impl RecursiveResolver {
         RecursiveResolver {
             upstreams,
             config,
-            cache: Mutex::new(CacheState::default()),
-            stats: Mutex::new(ResolverStats::default()),
+            pins: HashMap::new(),
         }
     }
 
-    /// Current statistics snapshot.
-    pub fn stats(&self) -> ResolverStats {
-        *self.stats.lock()
-    }
-
-    /// Entries currently cached.
-    pub fn cache_len(&self) -> usize {
-        self.cache.lock().map.len()
-    }
-
-    /// Pin an answer in the cache that never expires.
+    /// Pin an answer that never expires and is never evicted.
     ///
     /// World construction uses this for names real deployments keep
     /// permanently hot — the DoH front-end hostnames every client
-    /// bootstraps through. Without the pin, whether a bootstrap lookup
-    /// hits or misses would depend on which worker happened to resolve
-    /// the name first, making handler latency (and the telemetry
-    /// snapshot) a function of the shard layout.
-    pub fn prewarm(&self, name: &Name, rtype: RecordType, answers: Vec<ResourceRecord>) {
-        self.cache_put(
-            (name.clone(), rtype),
-            CacheEntry {
-                answers,
-                rcode: Rcode::NoError,
-                expires: SimTime::from_micros(u64::MAX),
-            },
-        );
+    /// bootstraps through — before the resolver is shared. Pins answer
+    /// before the dynamic cache is consulted, on every shard alike, so a
+    /// bootstrap lookup is a hit no matter which worker asks.
+    pub fn prewarm(&mut self, name: &Name, rtype: RecordType, answers: Vec<ResourceRecord>) {
+        self.pins.insert((name.clone(), rtype), answers);
     }
 
-    fn cache_get(&self, key: &(Name, RecordType), now: SimTime) -> Option<CacheEntry> {
-        // doe-lint: allow(D006) — hit/miss is shard-layout-invariant: every repeated
-        // name is a permanent pin (`prewarm`), all other keys are per-target unique
-        let cache = self.cache.lock();
-        cache
-            .map
-            .get(key)
-            .filter(|entry| entry.expires > now)
-            .cloned()
+    fn cache_get(ctx: &mut ServiceCtx<'_>, key: &CacheKey, now: SimTime) -> Option<CacheEntry> {
+        let local = ctx.local_addr();
+        ctx.network()
+            .shard_local_if_present(|caches: &mut ShardCaches| {
+                caches.0.get(&local).and_then(|cache| cache.get(key, now))
+            })
+            .flatten()
     }
 
-    fn cache_put(&self, key: (Name, RecordType), entry: CacheEntry) {
-        // doe-lint: allow(D006) — fills use per-target-unique keys; the only repeated
-        // names are permanent pins installed before any worker runs (`prewarm`)
-        let mut cache = self.cache.lock();
-        if cache.map.len() >= self.config.cache_capacity {
-            if let Some(victim) = cache.order.pop_front() {
-                cache.map.remove(&victim);
-            }
-        }
-        if cache.map.insert(key.clone(), entry).is_none() {
-            cache.order.push_back(key);
-        }
+    fn cache_put(&self, ctx: &mut ServiceCtx<'_>, key: CacheKey, entry: CacheEntry) {
+        let local = ctx.local_addr();
+        let capacity = self.config.cache_capacity;
+        ctx.network().shard_local(|caches: &mut ShardCaches| {
+            caches.0.entry(local).or_default().put(capacity, key, entry)
+        });
     }
 
     /// The intermediate ancestor names a minimising resolver probes before
@@ -286,7 +285,6 @@ impl DnsResponder for RecursiveResolver {
             return builder::error_response(query, Rcode::FormErr);
         };
         let question = question.clone();
-        self.stats.lock().queries += 1;
 
         // Spurious failure injection.
         let flake = ctx.network().rng().gen_bool(self.config.servfail_rate);
@@ -295,9 +293,11 @@ impl DnsResponder for RecursiveResolver {
         }
 
         let key = (question.qname.clone(), question.qtype);
+        if let Some(answers) = self.pins.get(&key) {
+            return builder::answer(query, answers.clone());
+        }
         let now = ctx.network().now();
-        if let Some(entry) = self.cache_get(&key, now) {
-            self.stats.lock().cache_hits += 1;
+        if let Some(entry) = Self::cache_get(ctx, &key, now) {
             return match entry.rcode {
                 Rcode::NoError => builder::answer(query, entry.answers),
                 rcode => builder::error_response(query, rcode),
@@ -315,7 +315,6 @@ impl DnsResponder for RecursiveResolver {
 
         // Registered zone: fetch from its authoritative server.
         if let Some(auth_addr) = self.upstreams.lookup(&question.qname) {
-            self.stats.lock().upstream_queries += 1;
             let local = ctx.local_addr();
             // QNAME minimisation: probe each intermediate ancestor with an
             // NS query before revealing the full name (RFC 7816 §2).
@@ -371,6 +370,7 @@ impl DnsResponder for RecursiveResolver {
                                 .min()
                                 .unwrap_or(60);
                             self.cache_put(
+                                ctx,
                                 key,
                                 CacheEntry {
                                     answers: upstream_resp.answers.clone(),
@@ -389,7 +389,6 @@ impl DnsResponder for RecursiveResolver {
                     }
                 }
                 Err(e) => {
-                    self.stats.lock().upstream_failures += 1;
                     ctx.charge(e.elapsed());
                     builder::error_response(query, Rcode::ServFail)
                 }
@@ -410,6 +409,7 @@ impl DnsResponder for RecursiveResolver {
                 _ => Vec::new(),
             };
             self.cache_put(
+                ctx,
                 key,
                 CacheEntry {
                     answers: answers.clone(),
@@ -428,12 +428,30 @@ impl DnsResponder for RecursiveResolver {
 mod tests {
     use super::*;
     use crate::do53::{do53_udp_query, Do53UdpService};
-    use crate::responder::AuthoritativeServer;
+    use crate::error::QueryReply;
+    use crate::responder::{AuthoritativeServer, QueryLog, QueryLogEntry};
     use dnswire::zone::Zone;
     use netsim::{HostMeta, Network, NetworkConfig};
+    use rand::SeedableRng;
     use std::sync::Arc;
 
-    fn build() -> (Network, Ipv4Addr, Ipv4Addr, crate::responder::QueryLog) {
+    /// A synthetic-name miss costs exactly 10 s, so any answer faster than
+    /// that came from the cache.
+    const SLOW_MISS: MissDelay = MissDelay {
+        median_ms: 10_000.0,
+        sigma: 0.0,
+    };
+
+    fn build() -> (Network, Ipv4Addr, Ipv4Addr) {
+        build_with(RecursiveConfig {
+            servfail_rate: 0.0,
+            ..RecursiveConfig::default()
+        })
+    }
+
+    /// Client, resolver and the probe zone's authoritative server (TTL
+    /// 60 s wildcard), on a network that carries a [`QueryLog`].
+    fn build_with(config: RecursiveConfig) -> (Network, Ipv4Addr, Ipv4Addr) {
         let mut net = Network::new(NetworkConfig::default(), 21);
         let client: Ipv4Addr = "198.51.100.2".parse().unwrap();
         let resolver: Ipv4Addr = "9.9.9.9".parse().unwrap();
@@ -449,56 +467,67 @@ mod tests {
             60,
             RData::A("203.0.113.99".parse().unwrap()),
         );
-        let (auth_server, log) = AuthoritativeServer::with_log(vec![zone]);
         net.bind_udp(
             auth,
             53,
-            Arc::new(Do53UdpService::new(Arc::new(auth_server))),
+            Arc::new(Do53UdpService::new(Arc::new(AuthoritativeServer::new(
+                vec![zone],
+            )))),
         );
+        net.shard_local(|_: &mut QueryLog| ());
 
         let mut upstreams = UpstreamMap::new();
         upstreams.add(apex, auth);
-        let recursive = Arc::new(RecursiveResolver::new(
-            upstreams,
-            RecursiveConfig {
-                servfail_rate: 0.0,
-                ..RecursiveConfig::default()
-            },
-        ));
+        let recursive = Arc::new(RecursiveResolver::new(upstreams, config));
         net.bind_udp(resolver, 53, Arc::new(Do53UdpService::new(recursive)));
-        (net, client, resolver, log)
+        (net, client, resolver)
+    }
+
+    /// What the authoritative server has seen on `net` so far.
+    fn logged(net: &mut Network) -> Vec<QueryLogEntry> {
+        net.shard_local(|log: &mut QueryLog| log.0.clone())
+    }
+
+    /// Query `name` for an A record with a 30 s client timeout.
+    fn ask(net: &mut Network, client: Ipv4Addr, resolver: Ipv4Addr, name: &str) -> QueryReply {
+        let q = dnswire::builder::query(1, name, RecordType::A).unwrap();
+        do53_udp_query(net, client, resolver, &q, SimDuration::from_secs(30), 0).unwrap()
+    }
+
+    fn hit(reply: &QueryReply) -> bool {
+        reply.latency < SimDuration::from_secs(10)
     }
 
     #[test]
     fn registered_zone_fetched_from_authoritative() {
-        let (mut net, client, resolver, log) = build();
+        let (mut net, client, resolver) = build();
         let q = dnswire::builder::query(1, "u7.probe.dnsmeasure.example", RecordType::A).unwrap();
         let reply =
             do53_udp_query(&mut net, client, resolver, &q, SimDuration::from_secs(5), 0).unwrap();
         assert_eq!(reply.message.rcode(), Rcode::NoError);
         assert_eq!(reply.message.answers.len(), 1);
         // The authoritative server observed the *resolver*, not the client.
-        let entries = log.lock();
+        let entries = logged(&mut net);
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].observed_src, resolver);
     }
 
     #[test]
     fn cache_hit_skips_authoritative_and_is_faster() {
-        let (mut net, client, resolver, log) = build();
+        let (mut net, client, resolver) = build();
         let q = dnswire::builder::query(2, "same.probe.dnsmeasure.example", RecordType::A).unwrap();
         let first =
             do53_udp_query(&mut net, client, resolver, &q, SimDuration::from_secs(5), 0).unwrap();
         let second =
             do53_udp_query(&mut net, client, resolver, &q, SimDuration::from_secs(5), 0).unwrap();
-        assert_eq!(log.lock().len(), 1, "second query served from cache");
+        assert_eq!(logged(&mut net).len(), 1, "second query served from cache");
         assert!(second.latency < first.latency);
         assert_eq!(first.message.answers, second.message.answers);
     }
 
     #[test]
     fn unique_prefixes_defeat_cache() {
-        let (mut net, client, resolver, log) = build();
+        let (mut net, client, resolver) = build();
         for i in 0..5 {
             let q = dnswire::builder::query(
                 i,
@@ -508,11 +537,14 @@ mod tests {
             .unwrap();
             do53_udp_query(&mut net, client, resolver, &q, SimDuration::from_secs(5), 0).unwrap();
         }
-        assert_eq!(log.lock().len(), 5);
+        assert_eq!(logged(&mut net).len(), 5);
     }
 
-    #[test]
-    fn prewarmed_entry_hits_without_upstream_traffic() {
+    /// A resolver pinning `doh.example.net` whose registered upstream is
+    /// never bound: a miss on the pinned name would SERVFAIL, so a correct
+    /// answer proves the pin served it. Synthetic misses cost
+    /// [`SLOW_MISS`].
+    fn pinned(capacity: usize) -> (Network, Ipv4Addr, Ipv4Addr, Ipv4Addr) {
         let mut net = Network::new(NetworkConfig::default(), 22);
         let client: Ipv4Addr = "198.51.100.7".parse().unwrap();
         let resolver: Ipv4Addr = "9.9.9.10".parse().unwrap();
@@ -521,17 +553,17 @@ mod tests {
 
         let name = Name::parse("doh.example.net").unwrap();
         let front: Ipv4Addr = "203.0.113.80".parse().unwrap();
-        // Registered upstream that is never bound: a cache miss would fail,
-        // so a correct answer proves the pinned entry served the query.
         let mut upstreams = UpstreamMap::new();
         upstreams.add(name.clone(), "203.0.113.54".parse().unwrap());
-        let recursive = Arc::new(RecursiveResolver::new(
+        let mut recursive = RecursiveResolver::new(
             upstreams,
             RecursiveConfig {
+                cache_capacity: capacity,
                 servfail_rate: 0.0,
+                miss_delay: SLOW_MISS,
                 ..RecursiveConfig::default()
             },
-        ));
+        );
         recursive.prewarm(
             &name,
             RecordType::A,
@@ -540,24 +572,57 @@ mod tests {
         net.bind_udp(
             resolver,
             53,
-            Arc::new(Do53UdpService::new(
-                Arc::clone(&recursive) as Arc<dyn DnsResponder>
-            )),
+            Arc::new(Do53UdpService::new(Arc::new(recursive))),
         );
+        (net, client, resolver, front)
+    }
 
-        let q = dnswire::builder::query(9, "doh.example.net", RecordType::A).unwrap();
-        let reply =
-            do53_udp_query(&mut net, client, resolver, &q, SimDuration::from_secs(5), 0).unwrap();
+    fn assert_pin_answers(
+        net: &mut Network,
+        client: Ipv4Addr,
+        resolver: Ipv4Addr,
+        front: Ipv4Addr,
+    ) {
+        let reply = ask(net, client, resolver, "doh.example.net");
         assert_eq!(reply.message.rcode(), Rcode::NoError);
         assert_eq!(reply.message.answers[0].rdata, RData::A(front));
-        let stats = recursive.stats();
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.upstream_queries, 0);
+    }
+
+    #[test]
+    fn prewarmed_entry_hits_without_upstream_traffic() {
+        let (mut net, client, resolver, front) = pinned(4096);
+        assert_pin_answers(&mut net, client, resolver, front);
+    }
+
+    #[test]
+    fn pin_survives_capacity_dynamic_fills() {
+        let (mut net, client, resolver, front) = pinned(2);
+        for name in ["a.example.com", "b.example.com"] {
+            assert!(!hit(&ask(&mut net, client, resolver, name)));
+        }
+        assert_pin_answers(&mut net, client, resolver, front);
+    }
+
+    #[test]
+    fn fills_stay_on_their_fork_while_pins_hit_on_every_fork() {
+        let (mut net, client, resolver, front) = pinned(4096);
+        let mut first = net.fork_shard(1);
+        assert!(!hit(&ask(&mut first, client, resolver, "www.example.com")));
+        assert!(hit(&ask(&mut first, client, resolver, "www.example.com")));
+        assert_pin_answers(&mut first, client, resolver, front);
+        net.absorb_shard(first);
+
+        let mut second = net.fork_shard(2);
+        assert!(
+            !hit(&ask(&mut second, client, resolver, "www.example.com")),
+            "the first fork's fill left with it"
+        );
+        assert_pin_answers(&mut second, client, resolver, front);
     }
 
     #[test]
     fn synthetic_fallback_is_deterministic() {
-        let (mut net, client, resolver, _log) = build();
+        let (mut net, client, resolver) = build();
         let q = dnswire::builder::query(3, "www.some-random-site.com", RecordType::A).unwrap();
         let a =
             do53_udp_query(&mut net, client, resolver, &q, SimDuration::from_secs(5), 0).unwrap();
@@ -579,7 +644,7 @@ mod tests {
 
     #[test]
     fn dead_authoritative_yields_servfail() {
-        let (mut net, client, resolver, _log) = build();
+        let (mut net, client, resolver) = build();
         // Kill the authoritative server.
         let auth: Ipv4Addr = "203.0.113.53".parse().unwrap();
         net.remove_host(auth);
@@ -615,91 +680,70 @@ mod tests {
 
     #[test]
     fn cache_capacity_evicts() {
-        let resolver = RecursiveResolver::new(
-            UpstreamMap::new(),
-            RecursiveConfig {
-                cache_capacity: 2,
-                servfail_rate: 0.0,
-                ..RecursiveConfig::default()
-            },
-        );
-        let mut net = Network::new(NetworkConfig::default(), 5);
-        let server: Ipv4Addr = "192.0.2.1".parse().unwrap();
-        let client: Ipv4Addr = "198.51.100.1".parse().unwrap();
-        net.add_host(HostMeta::new(server));
-        net.add_host(HostMeta::new(client));
-        let resolver = Arc::new(resolver);
-        net.bind_udp(
-            server,
-            53,
-            Arc::new(Do53UdpService::new(
-                Arc::clone(&resolver) as Arc<dyn DnsResponder>
-            )),
-        );
+        let (mut net, client, resolver) = build_with(RecursiveConfig {
+            cache_capacity: 2,
+            servfail_rate: 0.0,
+            miss_delay: SLOW_MISS,
+            ..RecursiveConfig::default()
+        });
         for i in 0..4 {
-            let q =
-                dnswire::builder::query(i, &format!("h{i}.example.com"), RecordType::A).unwrap();
-            do53_udp_query(&mut net, client, server, &q, SimDuration::from_secs(5), 0).unwrap();
+            assert!(!hit(&ask(
+                &mut net,
+                client,
+                resolver,
+                &format!("h{i}.example.com")
+            )));
         }
-        assert!(resolver.cache_len() <= 2);
-        assert_eq!(resolver.stats().queries, 4);
+        // FIFO: the two newest fills stay, the oldest went first.
+        assert!(hit(&ask(&mut net, client, resolver, "h3.example.com")));
+        assert!(!hit(&ask(&mut net, client, resolver, "h0.example.com")));
     }
 
-    use rand::SeedableRng;
+    #[test]
+    fn refill_at_capacity_keeps_live_entries() {
+        let (mut net, client, resolver) = build_with(RecursiveConfig {
+            cache_capacity: 2,
+            servfail_rate: 0.0,
+            miss_delay: SLOW_MISS,
+            ..RecursiveConfig::default()
+        });
+        // A synthetic name (TTL 300 s), then a probe name (TTL 60 s): full.
+        assert!(!hit(&ask(&mut net, client, resolver, "www.example.com")));
+        ask(&mut net, client, resolver, "p.probe.dnsmeasure.example");
+        net.advance(SimDuration::from_secs(61));
+        // The expired probe entry is refilled in place...
+        ask(&mut net, client, resolver, "p.probe.dnsmeasure.example");
+        assert_eq!(logged(&mut net).len(), 2, "the expired entry was refetched");
+        // ...without evicting the live synthetic entry.
+        assert!(hit(&ask(&mut net, client, resolver, "www.example.com")));
+    }
 
     #[test]
     fn qname_minimisation_probes_ancestors_and_costs_more() {
         // Two resolvers over the same authoritative: one minimising, one
         // not. The minimiser sends extra NS probes (visible in the
         // authoritative log) and pays extra latency on cold names.
-        let build_with = |qmin: bool, seed: u64| {
-            let mut net = Network::new(NetworkConfig::default(), seed);
-            let client: Ipv4Addr = "198.51.100.2".parse().unwrap();
-            let resolver: Ipv4Addr = "9.9.9.9".parse().unwrap();
-            let auth: Ipv4Addr = "203.0.113.53".parse().unwrap();
-            net.add_host(HostMeta::new(client).country("JP").asn(2516));
-            net.add_host(HostMeta::new(resolver).country("US").asn(19281).anycast());
-            net.add_host(HostMeta::new(auth).country("US").asn(64510));
-            let apex = Name::parse("probe.dnsmeasure.example").unwrap();
-            let mut zone = Zone::new(apex.clone());
-            zone.add_record(
-                &apex.prepend("*").unwrap(),
-                60,
-                RData::A("203.0.113.99".parse().unwrap()),
-            );
-            let (auth_server, log) = AuthoritativeServer::with_log(vec![zone]);
-            net.bind_udp(
-                auth,
-                53,
-                Arc::new(Do53UdpService::new(Arc::new(auth_server))),
-            );
-            let mut upstreams = UpstreamMap::new();
-            upstreams.add(apex, auth);
-            let recursive = Arc::new(RecursiveResolver::new(
-                upstreams,
-                RecursiveConfig {
-                    servfail_rate: 0.0,
-                    qname_minimisation: qmin,
-                    ..RecursiveConfig::default()
-                },
-            ));
-            net.bind_udp(resolver, 53, Arc::new(Do53UdpService::new(recursive)));
-            (net, client, resolver, log)
+        let build_qmin = |qmin: bool| {
+            build_with(RecursiveConfig {
+                servfail_rate: 0.0,
+                qname_minimisation: qmin,
+                ..RecursiveConfig::default()
+            })
         };
 
-        let (mut net, client, resolver, log) = build_with(true, 7);
+        let (mut net, client, resolver) = build_qmin(true);
         let q =
             dnswire::builder::query(1, "deep.sub.probe.dnsmeasure.example", RecordType::A).unwrap();
         let with =
             do53_udp_query(&mut net, client, resolver, &q, SimDuration::from_secs(5), 0).unwrap();
-        let probes_with = log.lock().len();
+        let probes_with = logged(&mut net).len();
 
-        let (mut net, client, resolver, log) = build_with(false, 7);
+        let (mut net, client, resolver) = build_qmin(false);
         let q =
             dnswire::builder::query(1, "deep.sub.probe.dnsmeasure.example", RecordType::A).unwrap();
         let without =
             do53_udp_query(&mut net, client, resolver, &q, SimDuration::from_secs(5), 0).unwrap();
-        let probes_without = log.lock().len();
+        let probes_without = logged(&mut net).len();
 
         assert!(
             probes_with > probes_without,

@@ -8,7 +8,6 @@
 use dnswire::zone::{Zone, ZoneLookup};
 use dnswire::{builder, Message, Name, Rcode, RecordType};
 use netsim::{PeerInfo, ServiceCtx};
-use parking_lot::Mutex;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -36,36 +35,25 @@ pub struct QueryLogEntry {
     pub qtype: RecordType,
 }
 
-/// Shared, inspectable log of queries reaching a server: opt-in ground
-/// truth that tests read after a run. Only a server built with
-/// [`AuthoritativeServer::with_log`] keeps one, and it never shrinks.
-pub type QueryLog = Arc<Mutex<Vec<QueryLogEntry>>>;
+/// Queries reaching authoritative servers: opt-in ground truth that tests
+/// read after a run.
+///
+/// The log lives in a network's shard-local state. A test installs it with
+/// `net.shard_local(|_: &mut QueryLog| ())` on the network it queries, and
+/// from then on every [`AuthoritativeServer`] answering on that network
+/// appends to it. Without one, answering retains nothing per query.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct QueryLog(pub Vec<QueryLogEntry>);
 
 /// An authoritative-only server over a set of zones.
-///
-/// [`AuthoritativeServer::new`] keeps no query log, so answering costs no
-/// lock and retains nothing per query. [`AuthoritativeServer::with_log`]
-/// records every query for tests that check what the server saw.
 pub struct AuthoritativeServer {
     zones: Vec<Zone>,
-    log: Option<QueryLog>,
 }
 
 impl AuthoritativeServer {
-    /// Serve the given zones, keeping no query log.
+    /// Serve the given zones.
     pub fn new(zones: Vec<Zone>) -> Self {
-        AuthoritativeServer { zones, log: None }
-    }
-
-    /// Serve the given zones and log every query, returning the server and
-    /// a handle to its ground-truth log.
-    pub fn with_log(zones: Vec<Zone>) -> (Self, QueryLog) {
-        let log = QueryLog::default();
-        let server = AuthoritativeServer {
-            zones,
-            log: Some(Arc::clone(&log)),
-        };
-        (server, log)
+        AuthoritativeServer { zones }
     }
 
     /// The zone containing `name`, if any.
@@ -78,19 +66,17 @@ impl AuthoritativeServer {
 }
 
 impl DnsResponder for AuthoritativeServer {
-    fn respond(&self, _ctx: &mut ServiceCtx<'_>, peer: PeerInfo, query: &Message) -> Message {
+    fn respond(&self, ctx: &mut ServiceCtx<'_>, peer: PeerInfo, query: &Message) -> Message {
         let Some(question) = query.question() else {
             return builder::error_response(query, Rcode::FormErr);
         };
-        if let Some(log) = &self.log {
-            // doe-lint: allow(D006) — ground-truth log read as an unordered set by tests
-            // only; never rendered into merged reports, so append order is unobservable
-            log.lock().push(QueryLogEntry {
+        ctx.network().shard_local_if_present(|log: &mut QueryLog| {
+            log.0.push(QueryLogEntry {
                 observed_src: peer.src,
                 qname: question.qname.clone(),
                 qtype: question.qtype,
-            });
-        }
+            })
+        });
         let Some(zone) = self.zone_for(&question.qname) else {
             return builder::error_response(query, Rcode::Refused);
         };
@@ -222,7 +208,10 @@ mod tests {
     // The unit tests below drive responders through a real UDP service so
     // no private constructors are needed.
     fn query_via_udp(responder: Arc<dyn DnsResponder>, query: &Message) -> Message {
-        let mut net = ctx_net();
+        query_on(&mut ctx_net(), responder, query)
+    }
+
+    fn query_on(net: &mut Network, responder: Arc<dyn DnsResponder>, query: &Message) -> Message {
         let server: Ipv4Addr = "192.0.2.53".parse().unwrap();
         let client: Ipv4Addr = "198.51.100.7".parse().unwrap();
         net.add_host(HostMeta::new(server));
@@ -240,14 +229,16 @@ mod tests {
 
     #[test]
     fn authoritative_answers_wildcard_probe() {
-        let (auth, log) = AuthoritativeServer::with_log(vec![probe_zone()]);
+        let auth = Arc::new(AuthoritativeServer::new(vec![probe_zone()]));
         let q = builder::query(7, "u93.probe.dnsmeasure.example", RecordType::A).unwrap();
-        let resp = query_via_udp(Arc::new(auth), &q);
+        let mut net = ctx_net();
+        net.shard_local(|_: &mut QueryLog| ());
+        let resp = query_on(&mut net, auth, &q);
         assert_eq!(resp.rcode(), Rcode::NoError);
         assert_eq!(resp.answers.len(), 1);
         assert!(resp.header.authoritative);
         // Ground-truth log captured the observed source.
-        let entries = log.lock();
+        let QueryLog(entries) = net.shard_local(|log: &mut QueryLog| log.clone());
         assert_eq!(entries.len(), 1);
         assert_eq!(
             entries[0].observed_src,
@@ -261,23 +252,31 @@ mod tests {
 
     #[test]
     fn authoritative_without_log_answers_and_retains_nothing() {
-        let plain = Arc::new(AuthoritativeServer::new(vec![probe_zone()]));
-        let (logging, log) = AuthoritativeServer::with_log(vec![probe_zone()]);
-        let logging = Arc::new(logging);
+        let auth: Arc<dyn DnsResponder> = Arc::new(AuthoritativeServer::new(vec![probe_zone()]));
         let names = [
             "a.probe.dnsmeasure.example",
             "www.google.com",
             "b.probe.dnsmeasure.example",
         ];
+        let mut plain = ctx_net();
+        let mut logging = ctx_net();
+        logging.shard_local(|_: &mut QueryLog| ());
         for (id, name) in (20..).zip(names) {
             let q = builder::query(id, name, RecordType::A).unwrap();
-            let resp = query_via_udp(Arc::clone(&plain) as Arc<dyn DnsResponder>, &q);
-            // The log is invisible on the wire: both servers answer alike.
-            let logged = query_via_udp(Arc::clone(&logging) as Arc<dyn DnsResponder>, &q);
+            let resp = query_on(&mut plain, Arc::clone(&auth), &q);
+            // The log is invisible on the wire: both networks answer alike.
+            let logged = query_on(&mut logging, Arc::clone(&auth), &q);
             assert_eq!(resp, logged, "{name}");
         }
-        assert_eq!(log.lock().len(), names.len());
-        assert!(plain.log.is_none(), "a plain server keeps no log");
+        assert_eq!(
+            logging.shard_local(|log: &mut QueryLog| log.0.len()),
+            names.len()
+        );
+        assert_eq!(
+            plain.shard_local_if_present(|_: &mut QueryLog| ()),
+            None,
+            "a network without a log keeps none"
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! so the graph — and its JSON rendering — is byte-identical across
 //! runs.
 
-use crate::parser::{Call, Hazard, HazardKind, LockSite, ParsedFile};
+use crate::parser::{Call, Hazard, HazardKind, ParsedFile};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -56,8 +56,6 @@ pub struct FnNode {
     /// resolution drop same-name candidates whose signature cannot
     /// match the call site.
     pub arity: usize,
-    /// Lock acquisitions in the body (D013).
-    pub lock_sites: Vec<LockSite>,
     /// True when the function carries an explicit recursion bound (D014).
     pub recursion_guard: bool,
     /// True when the function mentions `Instant`/`SystemTime` — the
@@ -90,9 +88,8 @@ pub struct Edge {
     /// True when resolution pinned a unique target: a path anchored in a
     /// concrete module, or a `self.` receiver narrowed to exactly one
     /// method. Broad method fan-out and suffix fallback are inexact —
-    /// the cycle-sensitive passes (D013 held-edges, D014 recursion SCCs)
-    /// run on exact edges only, so name collisions cannot fabricate
-    /// cycles.
+    /// the cycle-sensitive recursion pass (D014) runs on exact edges
+    /// only, so name collisions cannot fabricate cycles.
     pub exact: bool,
 }
 
@@ -141,7 +138,6 @@ pub fn build(sources: &[SourceItems]) -> CallGraph {
                 line: f.line,
                 hazards: f.hazards.clone(),
                 arity: f.arity,
-                lock_sites: f.lock_sites.clone(),
                 recursion_guard: f.recursion_guard,
                 wall_clock: f.wall_clock,
             });
@@ -490,7 +486,6 @@ pub fn to_json(g: &CallGraph) -> String {
 pub fn hazard_kind(k: HazardKind) -> &'static str {
     match k {
         HazardKind::Panic => "panic",
-        HazardKind::SharedMut => "shared_mut",
         HazardKind::FloatAccum => "float_accum",
         HazardKind::Blocking => "blocking",
         HazardKind::Alloc => "alloc",
@@ -703,13 +698,13 @@ mod tests {
                 "a",
                 "a",
                 &[],
-                "fn f() { g(); h.lock(); } fn g() { x.unwrap(); }",
+                "fn f() { g(); rx.recv(); } fn g() { x.unwrap(); }",
             )])
         };
         let one = to_json(&mk());
         let two = to_json(&mk());
         assert_eq!(one, two);
-        assert!(one.contains("\"shared_mut\""));
+        assert!(one.contains("\"blocking\""));
         assert!(one.contains("\"panic\""));
     }
 }

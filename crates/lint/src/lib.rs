@@ -19,20 +19,18 @@
 //!   in library code.
 //! * **D004** — no `.unwrap()`/`.expect()` on protocol paths.
 //! * **D005** — no narrowing `as` casts in address-space indexing.
-//! * **D006** — no shared-state mutation transitively reachable from the
-//!   sharded entry points, except through `ShardCtx` (interprocedural).
+//! * **D006** — no interior mutability (locks, cells, atomics,
+//!   `thread_local!`, `static mut`) in library code, so a shard worker
+//!   can mutate only what its own `Network` owns.
 //! * **D007** — no panic site transitively reachable from the protocol
 //!   entry points (interprocedural; the transitive closure of D004).
 //! * **D008** — no float accumulation transitively reachable from the
 //!   shard-merge entry points (interprocedural).
 //! * **D009** — no blocking operation (sleeps, channel receives, real
-//!   I/O, lock-in-loop) reachable from the event-machine step entry
-//!   points (interprocedural).
+//!   I/O) reachable from the event-machine step entry points
+//!   (interprocedural).
 //! * **D012** — no allocation site reachable from the telemetry
 //!   hot-path entry points (interprocedural).
-//! * **D013** — consistent lock-acquisition order: the lock-order graph
-//!   over the `[summary] lock_entries` cone must be acyclic (see
-//!   [`lockorder`]).
 //! * **D014** — bounded recursion on protocol decode/encode paths:
 //!   every reachable recursion cycle must carry a fuel/depth guard.
 //! * **D015** — shard-identity independence: no shard/worker/thread
@@ -41,8 +39,8 @@
 //! The interprocedural rules are backed by a bottom-up effect-summary
 //! fixpoint over the call-graph condensation (see [`summary`]): each
 //! function gets a join-semilattice summary (panics, allocates, blocks,
-//! mutates-shared, held-lock-set, …) propagated callee-to-caller, and
-//! findings carry their summary provenance.
+//! reads-shard-identity, …) propagated callee-to-caller, and findings
+//! carry their summary provenance.
 //!
 //! Scope comes from `lint.toml` at the workspace root; per-site escape
 //! hatches are `// doe-lint: allow(D00x) — <reason>` pragmas with a
@@ -53,7 +51,6 @@
 
 pub mod graph;
 pub mod lexer;
-pub mod lockorder;
 pub mod parser;
 pub mod policy;
 pub mod pragma;

@@ -7,7 +7,8 @@
 //! extractor walks the token stream with a scope stack and records, for
 //! every function body, (a) the paths and method names it calls and
 //! (b) the hazard sites the graph rules care about: panic sites (D007),
-//! interior-mutability writes (D006) and float accumulation (D008).
+//! float accumulation (D008), blocking calls (D009), allocations (D012)
+//! and shard-identity reads (D015).
 //!
 //! The parser is deliberately conservative: where it cannot resolve a
 //! construct it over-approximates (extra call edges) rather than dropping
@@ -20,8 +21,6 @@ use crate::lexer::{Tok, TokKind};
 pub enum HazardKind {
     /// A construct that can panic at runtime (D007).
     Panic,
-    /// An interior-mutability write or shared-state mutation (D006).
-    SharedMut,
     /// Order-sensitive floating-point accumulation (D008).
     FloatAccum,
     /// An operation that blocks the calling thread (D009): sleeping,
@@ -43,26 +42,8 @@ pub struct Hazard {
     pub line: u32,
     /// Which rule family the site belongs to.
     pub kind: HazardKind,
-    /// The construct, as written (`.unwrap()`, `panic!`, `.lock()`, ...).
+    /// The construct, as written (`.unwrap()`, `panic!`, `.recv()`, ...).
     pub what: String,
-}
-
-/// One lock acquisition inside a function body, as the lock-order rule
-/// (D013) sees it.
-#[derive(Debug, Clone)]
-pub struct LockSite {
-    /// 1-based source line of the `.lock()` call.
-    pub line: u32,
-    /// Lock identity: `Owner.field` for `self.field.lock()` receivers
-    /// (the enclosing impl type names the instance), otherwise the
-    /// receiver path as written (`cache.lock()` → `cache`).
-    pub id: String,
-    /// True when the guard is bound by a `let` in the same statement —
-    /// the lock is held to end of scope, so later acquisitions in the
-    /// same function happen *under* it. An unbound (temporary) guard
-    /// dies at the end of its statement and only orders against locks
-    /// taken in that same statement.
-    pub bound: bool,
 }
 
 /// One call expression inside a function body.
@@ -110,8 +91,6 @@ pub struct FnItem {
     /// Declared parameter count, `self` excluded — pairs with
     /// [`Call::arity`] to narrow method-call resolution.
     pub arity: usize,
-    /// Lock acquisitions in the body, in source order (D013).
-    pub lock_sites: Vec<LockSite>,
     /// True when the function carries an explicit recursion bound: a
     /// parameter or compared/decremented local whose name mentions
     /// depth/fuel/budget/limit/remaining/hops/jumps/ttl (D014).
@@ -149,24 +128,6 @@ pub struct ParsedFile {
 /// abort, which is what `unwrap`/`expect`/`panic!` sites mean here.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 const PANIC_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"];
-
-/// Methods that write through shared references (interior mutability):
-/// lock acquisition (the write is what the lock exists for), `RefCell`
-/// borrows and atomic read-modify-write ops.
-const SHARED_MUT_METHODS: &[&str] = &[
-    "lock",
-    "borrow_mut",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_update",
-    "fetch_max",
-    "fetch_min",
-    "compare_exchange",
-    "compare_exchange_weak",
-];
 
 /// Methods that block the calling thread until something else happens
 /// (D009): channel receives, condvar waits, console reads. `.join()` is
@@ -260,9 +221,6 @@ enum ScopeKind {
     Impl(String),
     Trait(String),
     Fn(usize),
-    /// A `loop`/`while`/`for` body — `.lock()` acquired at loop depth
-    /// > 0 is a blocking hazard (D009), not just a shared-mut one.
-    Loop,
     Other,
 }
 
@@ -275,11 +233,6 @@ struct Parser<'a> {
     out: ParsedFile,
     /// Pending item header: the next `{` opens this scope.
     pending: Option<ScopeKind>,
-    /// `.lock()` sites proven commutative (discarded-guard compound
-    /// integer updates). Resolved in [`parse_file`] once the enclosing
-    /// function's float mentions are final: a non-float commutative
-    /// update is order-insensitive, so its SharedMut hazard is dropped.
-    commutative: Vec<(usize, u32)>,
 }
 
 /// Parse one lexed file. `file_module` is the module path the file itself
@@ -294,30 +247,9 @@ pub fn parse_file(file_module: &[String], toks: &[Tok], mask: &[bool]) -> Parsed
         file_module: file_module.to_vec(),
         out: ParsedFile::default(),
         pending: None,
-        commutative: Vec::new(),
     };
     p.run();
-    let commutative = p.commutative;
     let mut parsed = p.out;
-    for (idx, line) in commutative {
-        // `self.counter.lock().field += k;` with no float in the fn: an
-        // order-insensitive monotone update — not a shared-mutation
-        // hazard. Remove exactly one `.lock()` site at that line so an
-        // order-sensitive second lock on the same line keeps its hazard.
-        if !parsed.fns[idx].mentions_float {
-            let mut removed = false;
-            parsed.fns[idx].hazards.retain(|h| {
-                let hit = !removed
-                    && h.line == line
-                    && h.kind == HazardKind::SharedMut
-                    && h.what == ".lock()";
-                if hit {
-                    removed = true;
-                }
-                !hit
-            });
-        }
-    }
     for item in &mut parsed.fns {
         if !item.mentions_float {
             item.hazards.retain(|h| h.kind != HazardKind::FloatAccum);
@@ -402,12 +334,6 @@ impl<'a> Parser<'a> {
                 self.i += 1;
                 self.use_decl();
             }
-            "loop" | "while" | "for" if self.current_fn().is_some() => {
-                // The next `{` opens a loop body (conditions cannot carry
-                // bare struct literals, so the first brace is the body).
-                self.pending = Some(ScopeKind::Loop);
-                self.i += 1;
-            }
             _ => {
                 if self.current_fn().is_some() {
                     self.body_ident(id);
@@ -487,19 +413,6 @@ impl<'a> Parser<'a> {
             ScopeKind::Fn(idx) => Some(*idx),
             _ => None,
         })
-    }
-
-    /// Loop nesting depth within the innermost function.
-    fn loop_depth(&self) -> usize {
-        let mut depth = 0usize;
-        for s in self.scopes.iter().rev() {
-            match s {
-                ScopeKind::Loop => depth += 1,
-                ScopeKind::Fn(_) => break,
-                _ => {}
-            }
-        }
-        depth
     }
 
     fn current_owner(&self) -> Option<String> {
@@ -612,7 +525,6 @@ impl<'a> Parser<'a> {
                         calls: Vec::new(),
                         hazards: Vec::new(),
                         arity: params.saturating_sub(usize::from(has_self)),
-                        lock_sites: Vec::new(),
                         recursion_guard: sig_guard,
                         wall_clock: sig_clock,
                     };
@@ -811,31 +723,11 @@ impl<'a> Parser<'a> {
                         what: format!(".{id}()"),
                     });
                 }
-                if SHARED_MUT_METHODS.contains(&id) {
-                    self.out.fns[fn_idx].hazards.push(Hazard {
-                        line,
-                        kind: HazardKind::SharedMut,
-                        what: format!(".{id}()"),
-                    });
-                }
                 if BLOCKING_METHODS.contains(&id) {
                     self.out.fns[fn_idx].hazards.push(Hazard {
                         line,
                         kind: HazardKind::Blocking,
                         what: format!(".{id}()"),
-                    });
-                }
-                if id == "lock" {
-                    self.lock_site(fn_idx, line);
-                }
-                if id == "lock" && self.loop_depth() > 0 {
-                    // Lock acquisition inside a loop: the canonical way an
-                    // event handler stalls the dispatch loop under
-                    // contention.
-                    self.out.fns[fn_idx].hazards.push(Hazard {
-                        line,
-                        kind: HazardKind::Blocking,
-                        what: ".lock() in loop".to_string(),
                     });
                 }
                 if ALLOC_METHODS.contains(&id) {
@@ -904,15 +796,7 @@ impl<'a> Parser<'a> {
         if self.call_follows(j) {
             if path.len() >= 2 {
                 let last = path.last().map(String::as_str).unwrap_or("");
-                let first = path.first().map(String::as_str).unwrap_or("");
                 let prev = path[path.len() - 2].as_str();
-                if matches!(last, "make_mut" | "get_mut") && matches!(first, "Arc" | "Rc") {
-                    self.out.fns[fn_idx].hazards.push(Hazard {
-                        line,
-                        kind: HazardKind::SharedMut,
-                        what: format!("{first}::{last}"),
-                    });
-                }
                 if BLOCKING_PATHS.iter().any(|&(a, b)| a == prev && b == last) {
                     self.out.fns[fn_idx].hazards.push(Hazard {
                         line,
@@ -936,169 +820,7 @@ impl<'a> Parser<'a> {
                 via_self: false,
                 arity,
             });
-        } else if path.len() == 1 && matches!(id, "RwLock" | "RefCell") {
-            // The type's very presence on a shard path is the hazard: its
-            // writes (`.write()`, `.borrow_mut()`) may hide behind
-            // type-dependent method names the lexer cannot attribute.
-            self.out.fns[fn_idx].hazards.push(Hazard {
-                line,
-                kind: HazardKind::SharedMut,
-                what: id.to_string(),
-            });
         }
-    }
-
-    /// Handle a `.lock()` call at `self.i` (the `lock` ident): record a
-    /// [`LockSite`] when the receiver is a resolvable path, and queue
-    /// the commutative-counter proof when the whole statement is a
-    /// discarded-guard compound integer update.
-    fn lock_site(&mut self, fn_idx: usize, line: u32) {
-        let Some(dot) = self.i.checked_sub(1) else {
-            return;
-        };
-        let (segs, recv_start) = self.lock_receiver(dot);
-        let close = self
-            .toks
-            .get(self.i + 1)
-            .filter(|t| t.is_punct('('))
-            .and_then(|_| self.match_parens(self.i + 1));
-        if self.stmt_starts_at(recv_start)
-            && !segs.is_empty()
-            && close.is_some_and(|c| self.commutative_update(c))
-        {
-            self.commutative.push((fn_idx, line));
-        }
-        if segs.is_empty() {
-            // Receiver is an expression (`guard().lock()`): no stable
-            // identity; the SharedMut hazard already covers the site.
-            return;
-        }
-        let id = if segs[0] == "self" {
-            let owner = self.current_owner().unwrap_or_else(|| "Self".to_string());
-            if segs.len() > 1 {
-                format!("{owner}.{}", segs[1..].join("."))
-            } else {
-                owner
-            }
-        } else {
-            segs.join(".")
-        };
-        let bound = self.stmt_has_let(recv_start);
-        self.out.fns[fn_idx]
-            .lock_sites
-            .push(LockSite { line, id, bound });
-    }
-
-    /// Walk the receiver path backwards from the `.` at `dot`:
-    /// `self.stats.lock()` → (`["self", "stats"]`, index of `self`).
-    /// Returns an empty path when the receiver is not an
-    /// ident-dot-ident chain.
-    fn lock_receiver(&self, dot: usize) -> (Vec<String>, usize) {
-        let mut segs = Vec::new();
-        let mut start = dot;
-        let mut j = dot;
-        while let Some(prev) = j.checked_sub(1) {
-            let Some(seg) = self.toks[prev].ident() else {
-                break;
-            };
-            segs.push(seg.to_string());
-            start = prev;
-            match prev.checked_sub(1) {
-                Some(p2) if self.toks[p2].is_punct('.') => j = p2,
-                _ => break,
-            }
-        }
-        segs.reverse();
-        (segs, start)
-    }
-
-    /// Does the statement containing token `from` bind a `let`? Scans
-    /// backwards to the nearest statement boundary.
-    fn stmt_has_let(&self, from: usize) -> bool {
-        let mut k = from;
-        while let Some(p) = k.checked_sub(1) {
-            match &self.toks[p].kind {
-                TokKind::Punct(';' | '{' | '}') => return false,
-                TokKind::Ident(s) if s == "let" => return true,
-                _ => {}
-            }
-            k = p;
-        }
-        false
-    }
-
-    /// Is token `from` at the start of its statement, modulo deref
-    /// stars? Ensures the lock expression is the whole statement — its
-    /// guard is discarded, not bound or fed into a larger expression.
-    fn stmt_starts_at(&self, from: usize) -> bool {
-        let mut k = from;
-        while let Some(p) = k.checked_sub(1) {
-            match &self.toks[p].kind {
-                TokKind::Punct(';' | '{' | '}') => return true,
-                TokKind::Punct('*') => {}
-                _ => return false,
-            }
-            k = p;
-        }
-        true
-    }
-
-    /// Token index of the `)` matching the `(` at `open`.
-    fn match_parens(&self, open: usize) -> Option<usize> {
-        let mut depth = 0i32;
-        let mut k = open;
-        while k < self.toks.len() {
-            match &self.toks[k].kind {
-                TokKind::Punct('(') => depth += 1,
-                TokKind::Punct(')') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(k);
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        None
-    }
-
-    /// After the guard expression ending at `close` (the `.lock()`'s
-    /// closing paren): does the rest of the statement read
-    /// `(.field)* op= <call-free rhs> ;` with `op` in `+ - | & ^`?
-    /// Such an update commutes over integers, so its evaluation order
-    /// across shards cannot change the merged value.
-    fn commutative_update(&self, close: usize) -> bool {
-        let mut k = close + 1;
-        while self.toks.get(k).is_some_and(|t| t.is_punct('.')) {
-            if self.toks.get(k + 1).and_then(|t| t.ident()).is_none() {
-                return false;
-            }
-            k += 2;
-            if self.toks.get(k).is_some_and(|t| t.is_punct('(')) {
-                // A further call (`.get(..)`) — not a plain field update.
-                return false;
-            }
-        }
-        let op = matches!(
-            self.toks.get(k).map(|t| &t.kind),
-            Some(TokKind::Punct('+' | '-' | '|' | '&' | '^'))
-        );
-        if !op || !self.toks.get(k + 1).is_some_and(|t| t.is_punct('=')) {
-            return false;
-        }
-        k += 2;
-        while k < self.toks.len() {
-            match &self.toks[k].kind {
-                TokKind::Punct(';') => return true,
-                // Calls, blocks, nested assignment or macros on the RHS
-                // defeat the proof; plain idents/literals/operators pass.
-                TokKind::Punct('(' | ')' | '{' | '}' | '=' | '!' | '?') => return false,
-                _ => {}
-            }
-            k += 1;
-        }
-        false
     }
 
     /// Does a call argument list start at token `j` (a `(`, or a
@@ -1316,25 +1038,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_mut_hazards_are_sited() {
-        let src = r#"
-            fn tally(m: &std::sync::Mutex<u64>, c: &std::cell::RefCell<u64>) {
-                *m.lock().unwrap() += 1;
-                *c.borrow_mut() += 1;
-                let p = Arc::make_mut(&mut shared());
-            }
-        "#;
-        let p = parse(src);
-        let shared: Vec<&str> = p.fns[0]
-            .hazards
-            .iter()
-            .filter(|h| h.kind == HazardKind::SharedMut)
-            .map(|h| h.what.as_str())
-            .collect();
-        assert_eq!(shared, vec![".lock()", ".borrow_mut()", "Arc::make_mut"]);
-    }
-
-    #[test]
     fn use_aliases_resolve_groups_and_renames() {
         let src = r#"
             use crate::permutation::PermutationShard;
@@ -1514,35 +1217,6 @@ mod tests {
     }
 
     #[test]
-    fn lock_blocks_only_inside_loops() {
-        let src = r#"
-            fn outside(m: &std::sync::Mutex<u64>) { *m.lock() += 1; }
-            fn inside(m: &std::sync::Mutex<u64>, xs: &[u64]) {
-                for x in xs {
-                    *m.lock() += x;
-                }
-            }
-        "#;
-        let p = parse(src);
-        assert!(
-            !p.fns[0]
-                .hazards
-                .iter()
-                .any(|h| h.kind == HazardKind::Blocking),
-            "a one-shot lock is contention, not a loop stall: {:?}",
-            p.fns[0].hazards
-        );
-        assert!(
-            p.fns[1]
-                .hazards
-                .iter()
-                .any(|h| h.kind == HazardKind::Blocking && h.what == ".lock() in loop"),
-            "{:?}",
-            p.fns[1].hazards
-        );
-    }
-
-    #[test]
     fn blocking_and_alloc_hazards_are_sited() {
         let src = r#"
             fn waits(rx: &std::sync::mpsc::Receiver<u8>) {
@@ -1587,76 +1261,6 @@ mod tests {
             .fns
             .iter()
             .any(|f| f.calls.iter().any(|c| c.path.contains(&"call".to_string()))));
-    }
-
-    #[test]
-    fn lock_sites_carry_identity_and_boundness() {
-        let src = r#"
-            struct R;
-            impl R {
-                fn cached(&self) -> u64 {
-                    let cache = self.cache.lock();
-                    self.stats.lock().hits += 1;
-                    cache.len() as u64
-                }
-            }
-            fn free(m: &Mutex<u64>) { let g = m.lock(); }
-        "#;
-        let p = parse(src);
-        let sites: Vec<(&str, bool)> = p.fns[0]
-            .lock_sites
-            .iter()
-            .map(|s| (s.id.as_str(), s.bound))
-            .collect();
-        assert_eq!(sites, vec![("R.cache", true), ("R.stats", false)]);
-        let free: Vec<(&str, bool)> = p.fns[1]
-            .lock_sites
-            .iter()
-            .map(|s| (s.id.as_str(), s.bound))
-            .collect();
-        assert_eq!(free, vec![("m", true)]);
-    }
-
-    #[test]
-    fn commutative_counter_update_is_not_shared_mut() {
-        // Discarded-guard integer `+=` through a lock commutes: the
-        // shard-purity hazard is dropped by proof, not by pragma.
-        let src = "struct R; impl R { fn bump(&self) { self.stats.lock().queries += 1; } }";
-        let p = parse(src);
-        assert!(
-            !p.fns[0]
-                .hazards
-                .iter()
-                .any(|h| h.kind == HazardKind::SharedMut),
-            "{:?}",
-            p.fns[0].hazards
-        );
-        // ...but the acquisition still participates in lock ordering.
-        assert_eq!(p.fns[0].lock_sites.len(), 1);
-
-        // A bound guard is held across later statements: not commutative.
-        let bound = "struct R; impl R { fn peek(&self) { let s = self.stats.lock(); } }";
-        let p = parse(bound);
-        assert!(p.fns[0]
-            .hazards
-            .iter()
-            .any(|h| h.kind == HazardKind::SharedMut));
-
-        // A call on the guard is a read-modify path, not a counter bump.
-        let call = "struct R; impl R { fn get(&self) { self.map.lock().insert(1, 2); } }";
-        let p = parse(call);
-        assert!(p.fns[0]
-            .hazards
-            .iter()
-            .any(|h| h.kind == HazardKind::SharedMut));
-
-        // Float accumulation does not commute.
-        let float = "struct R; impl R { fn add(&self, w: f64) { self.total.lock().sum += w; } }";
-        let p = parse(float);
-        assert!(p.fns[0]
-            .hazards
-            .iter()
-            .any(|h| h.kind == HazardKind::SharedMut));
     }
 
     #[test]

@@ -23,13 +23,11 @@ pub struct Policy {
 }
 
 /// Entry-point sets for the call-graph rules. Each entry is a `::`
-/// suffix of a qualified function name (`doe_scanner::sweep::
-/// syn_sweep_sharded`, `Do53TcpConn::query`); an entry matching nothing
-/// is a hard configuration error. Empty sets disable the rule.
+/// suffix of a qualified function name (`dnswire::view::MessageView::
+/// parse`, `Do53TcpConn::query`); an entry matching nothing is a hard
+/// configuration error. Empty sets disable the rule.
 #[derive(Debug, Clone, Default)]
 pub struct GraphPolicy {
-    /// D006 roots: the sharded measurement runners.
-    pub shard_entries: Vec<String>,
     /// D007 roots: the protocol query APIs.
     pub protocol_entries: Vec<String>,
     /// D008 roots: the shard-merge operations.
@@ -46,9 +44,6 @@ pub struct GraphPolicy {
 /// Same suffix-match and stale-entry semantics as [`GraphPolicy`].
 #[derive(Debug, Clone, Default)]
 pub struct SummaryPolicy {
-    /// D013 roots: functions whose call trees are scanned for
-    /// inconsistent lock-acquisition order (lock-order-graph cycles).
-    pub lock_entries: Vec<String>,
     /// D014 roots: the protocol decode/encode entry points — every
     /// recursion cycle reachable from one must carry an explicit
     /// fuel/depth guard.
@@ -110,12 +105,10 @@ impl Policy {
         let segs: Vec<&str> = section.iter().map(String::as_str).collect();
         match (segs.as_slice(), key) {
             (["default"], "rules") => self.default_rules = value,
-            (["graph"], "shard_entries") => self.graph.shard_entries = value,
             (["graph"], "protocol_entries") => self.graph.protocol_entries = value,
             (["graph"], "merge_entries") => self.graph.merge_entries = value,
             (["graph"], "step_entries") => self.graph.step_entries = value,
             (["graph"], "hot_entries") => self.graph.hot_entries = value,
-            (["summary"], "lock_entries") => self.summary.lock_entries = value,
             (["summary"], "decode_entries") => self.summary.decode_entries = value,
             (["summary"], "identity_entries") => self.summary.identity_entries = value,
             (["crates", name], "rules") => {
@@ -240,7 +233,6 @@ mod tests {
         hot_entries = ["Registry::add"]
 
         [summary]
-        lock_entries = ["stub_population_sharded"]
         decode_entries = ["Message::decode"]
         identity_entries = ["Network::absorb_shard"]
     "#;
@@ -255,7 +247,6 @@ mod tests {
     #[test]
     fn summary_entry_sets_parse() {
         let p = Policy::parse(SAMPLE).unwrap();
-        assert_eq!(p.summary.lock_entries, vec!["stub_population_sharded"]);
         assert_eq!(p.summary.decode_entries, vec!["Message::decode"]);
         assert_eq!(p.summary.identity_entries, vec!["Network::absorb_shard"]);
     }
@@ -291,7 +282,10 @@ mod tests {
         assert!(Policy::parse("[nonsense]\nrules = [\"D001\"]\n").is_err());
         assert!(Policy::parse("[default]\nrules = not-an-array\n").is_err());
         // The retired `[dataflow]` section fails loudly instead of
-        // silently unrooting D009/D012.
+        // silently unrooting D009/D012, and so do the retired D006/D013
+        // roots.
         assert!(Policy::parse("[dataflow]\nstep_entries = [\"M::on_event\"]\n").is_err());
+        assert!(Policy::parse("[graph]\nshard_entries = [\"a::run\"]\n").is_err());
+        assert!(Policy::parse("[summary]\nlock_entries = [\"a::run\"]\n").is_err());
     }
 }

@@ -3,7 +3,7 @@
 //! JSON is hand-rolled (the analyzer is dependency-free); the schema is
 //! stable so `scripts/verify.sh` can archive reports under `results/`
 //! and diff them across runs. Schema version 2 added the `chain` field:
-//! interprocedural findings (D006–D015) carry the call chain from an
+//! interprocedural findings (D007–D015) carry the call chain from an
 //! entry point to the hazard site as evidence. Version 3 added the
 //! `flow` field for the intraprocedural def-use rules; those rules are
 //! retired (the types they checked now enforce the same invariants), and

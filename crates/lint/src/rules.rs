@@ -12,7 +12,7 @@ use crate::lexer::{Tok, TokKind};
 pub struct RawFinding {
     /// 1-based line.
     pub line: u32,
-    /// Rule id (`D001`..`D005`).
+    /// Rule id (`D001`..`D006`).
     pub rule: &'static str,
     /// Human explanation with the remediation.
     pub message: String,
@@ -31,10 +31,7 @@ pub const RULES: &[(&str, &str)] = &[
     ("D003", "no println!/eprintln! in library code"),
     ("D004", "no unwrap()/expect() on protocol paths"),
     ("D005", "no narrowing `as` casts in address-space indexing"),
-    (
-        "D006",
-        "no shared-state mutation reachable from sharded entry points",
-    ),
+    ("D006", "no interior mutability in library code"),
     ("D007", "no panic site reachable from protocol entry points"),
     (
         "D008",
@@ -47,10 +44,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "D012",
         "no allocation site reachable from telemetry hot-path entry points",
-    ),
-    (
-        "D013",
-        "consistent lock-acquisition order: lock-order graph acyclic over lock entry cones",
     ),
     (
         "D014",
@@ -76,6 +69,33 @@ const ENTROPY_IDENTS: &[&str] = &["thread_rng", "from_entropy"];
 
 /// Macros that write to stdout/stderr directly.
 const PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "dbg"];
+
+/// Types (and the crate) that let shared references mutate. `Atomic*`
+/// types are matched by prefix.
+const INTERIOR_MUT_IDENTS: &[&str] = &[
+    "Mutex",
+    "RwLock",
+    "RefCell",
+    "Cell",
+    "OnceCell",
+    "OnceLock",
+    "LazyLock",
+    "UnsafeCell",
+    "parking_lot",
+];
+
+/// The interior-mutability construct `id` starts, if any (D006).
+fn interior_mut(id: &str, next: Option<&Tok>) -> Option<String> {
+    if INTERIOR_MUT_IDENTS.contains(&id) || id.starts_with("Atomic") {
+        Some(id.to_string())
+    } else if id == "thread_local" && next.is_some_and(|t| t.is_punct('!')) {
+        Some("thread_local!".to_string())
+    } else if id == "static" && next.and_then(Tok::ident) == Some("mut") {
+        Some("static mut".to_string())
+    } else {
+        None
+    }
+}
 
 /// Compute which tokens sit inside test-only items: any item annotated
 /// `#[cfg(test)]` (in any `cfg` combination naming `test`) or `#[test]`.
@@ -250,6 +270,20 @@ pub fn scan<F: Fn(&str) -> bool>(toks: &[Tok], mask: &[bool], enabled: F) -> Vec
                 ),
             });
         }
+
+        if enabled("D006") {
+            if let Some(what) = interior_mut(id, next) {
+                out.push(RawFinding {
+                    line: tok.line,
+                    rule: "D006",
+                    message: format!(
+                        "`{what}` lets shared state mutate; a shard worker may mutate \
+                         only what its own `Network` owns — keep per-shard state in \
+                         `Network::shard_local`, or build it before sharing it"
+                    ),
+                });
+            }
+        }
     }
     // Collapse duplicate (rule, line) hits — e.g. `use ...::{HashMap, HashSet}`
     // — so one pragma line maps to one diagnostic.
@@ -303,6 +337,25 @@ mod tests {
         assert!(rules.contains(&"D002"));
         assert!(rules.contains(&"D003"));
         assert!(rules.contains(&"D005"));
+    }
+
+    #[test]
+    fn every_interior_mutability_form_is_d006() {
+        let src = r#"
+            use parking_lot::Mutex;
+            static mut HITS: u64 = 0;
+            thread_local! { static SEEN: RefCell<u8> = RefCell::new(0); }
+            pub struct S { a: std::sync::atomic::AtomicU64, b: Cell<u8>, c: OnceLock<u8> }
+            pub fn f(x: &'static mut u8) -> &'static str { "Mutex" }
+        "#;
+        let lines: Vec<u32> = scan_all(src)
+            .iter()
+            .filter(|f| f.rule == "D006")
+            .map(|f| f.line)
+            .collect();
+        // Every line but the last: a `'static mut` reference and a string
+        // naming a lock are not interior mutability.
+        assert_eq!(lines, vec![2, 3, 4, 5]);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! Every function gets an [`EffectSummary`] — a point in a finite
 //! join-semilattice {panics, allocates, blocks, reads-wall-clock,
-//! mutates-shared-dataplane, reads-shard-identity, held-lock-set,
-//! max-self-recursion} — computed callee-first over the
-//! call graph's SCC condensation:
+//! reads-shard-identity, max-self-recursion} — computed callee-first
+//! over the call graph's SCC condensation:
 //!
 //! 1. Tarjan over **all** edges yields the condensation in reverse
 //!    topological emission order (an SCC is emitted only after every
@@ -18,21 +17,12 @@
 //!    consumes. The broad method fan-out over-approximates calls so
 //!    heavily that any two same-named methods would read as "mutual
 //!    recursion"; exact edges cannot fabricate a cycle.
-//!
-//! Boundary clamp: functions owned by `ShardCtx` are the sanctioned
-//! per-shard mutation channel (same exemption D006 applies), so their
-//! summaries publish `mutates_shared = false` — effects behind the
-//! boundary are proved irrelevant to callers, by construction rather
-//! than by pragma. The held-lock-set joins over exact edges only for
-//! the same reason the recursion pass does: a lock attributed through a
-//! name collision would fabricate lock-order cycles.
 
 use crate::graph::{CallGraph, FnNode};
 use crate::parser::HazardKind;
-use std::collections::BTreeSet;
 
 /// The per-function point in the effect lattice. All fields join by
-/// field-wise OR / set-union / max.
+/// field-wise OR / max.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EffectSummary {
     /// A panic site is (transitively) reachable.
@@ -43,14 +33,9 @@ pub struct EffectSummary {
     pub blocks: bool,
     /// An `Instant`/`SystemTime` mention is reachable.
     pub wall_clock: bool,
-    /// A shared-state mutation is reachable outside the `ShardCtx`
-    /// boundary.
-    pub mutates_shared: bool,
     /// A shard/worker/thread identity value is read on a reachable
     /// function.
     pub shard_ident: bool,
-    /// Lock identities (transitively) acquired, joined over exact edges.
-    pub lock_set: BTreeSet<String>,
     /// Size of this function's cyclic SCC over exact edges: 0 when the
     /// function cannot recurse, 1 for direct self-recursion, n for a
     /// mutual-recursion cycle of n functions.
@@ -71,11 +56,6 @@ pub struct Summaries {
     pub exact_sccs: Vec<Vec<usize>>,
 }
 
-/// Is this node inside the sanctioned per-shard mutation boundary?
-pub fn exempt(node: &FnNode) -> bool {
-    node.owner.as_deref() == Some("ShardCtx")
-}
-
 /// Compute every function's effect summary.
 pub fn compute(graph: &CallGraph) -> Summaries {
     let n = graph.nodes.len();
@@ -84,9 +64,6 @@ pub fn compute(graph: &CallGraph) -> Summaries {
     let mut per_fn: Vec<EffectSummary> = graph.nodes.iter().map(local_bits).collect();
     for (i, s) in per_fn.iter_mut().enumerate() {
         s.scc = comp_of[i];
-        if exempt(&graph.nodes[i]) {
-            s.mutates_shared = false;
-        }
     }
 
     // Emission order is reverse topological: every callee component is
@@ -96,26 +73,13 @@ pub fn compute(graph: &CallGraph) -> Summaries {
             let mut changed = false;
             for &u in members {
                 let mut s = per_fn[u].clone();
-                for &(v, _, exact) in &graph.adj[u] {
+                for &(v, _, _) in &graph.adj[u] {
                     let callee = &per_fn[v];
                     s.panics |= callee.panics;
                     s.allocates |= callee.allocates;
                     s.blocks |= callee.blocks;
                     s.wall_clock |= callee.wall_clock;
                     s.shard_ident |= callee.shard_ident;
-                    if !exempt(&graph.nodes[v]) {
-                        s.mutates_shared |= callee.mutates_shared;
-                    }
-                    if exact {
-                        for l in &callee.lock_set {
-                            if !s.lock_set.contains(l) {
-                                s.lock_set.insert(l.clone());
-                            }
-                        }
-                    }
-                }
-                if exempt(&graph.nodes[u]) {
-                    s.mutates_shared = false;
                 }
                 if s != per_fn[u] {
                     per_fn[u] = s;
@@ -165,17 +129,11 @@ fn local_bits(node: &FnNode) -> EffectSummary {
             HazardKind::Panic => s.panics = true,
             HazardKind::Alloc => s.allocates = true,
             HazardKind::Blocking => s.blocks = true,
-            HazardKind::SharedMut => s.mutates_shared = true,
             HazardKind::ShardIdent => s.shard_ident = true,
             HazardKind::FloatAccum => {}
         }
     }
     s.wall_clock = node.wall_clock;
-    for site in &node.lock_sites {
-        if !s.lock_set.contains(&site.id) {
-            s.lock_set.insert(site.id.clone());
-        }
-    }
     s
 }
 
@@ -355,48 +313,6 @@ mod tests {
         assert!(t.panics && t.allocates);
         assert!(!s.per_fn[idx(&g, "left")].allocates);
         assert!(!s.per_fn[idx(&g, "right")].panics);
-    }
-
-    #[test]
-    fn lock_sets_union_through_exact_calls() {
-        let g = graph_of(
-            r#"
-            struct R;
-            impl R {
-                fn outer(&self) {
-                    let a = self.alpha.lock();
-                    crate::inner(self);
-                }
-            }
-            pub fn inner(r: &R) { let b = r.beta.lock(); }
-            "#,
-        );
-        let s = compute(&g);
-        let outer = &s.per_fn[idx(&g, "outer")];
-        assert!(outer.lock_set.contains("R.alpha"), "{:?}", outer.lock_set);
-        assert!(outer.lock_set.contains("r.beta"), "{:?}", outer.lock_set);
-        let inner = &s.per_fn[idx(&g, "inner")];
-        assert!(!inner.lock_set.contains("R.alpha"));
-    }
-
-    #[test]
-    fn shardctx_boundary_clamps_shared_mutation() {
-        let g = graph_of(
-            r#"
-            pub struct ShardCtx { n: u64 }
-            impl ShardCtx {
-                pub fn charge(&self, c: &AtomicU64) { bump(c); }
-            }
-            fn bump(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }
-            pub fn runner(ctx: &ShardCtx, c: &AtomicU64) { ctx.charge(c); }
-            "#,
-        );
-        let s = compute(&g);
-        assert!(s.per_fn[idx(&g, "bump")].mutates_shared);
-        // The boundary clamps its own summary...
-        assert!(!s.per_fn[idx(&g, "charge")].mutates_shared);
-        // ...so the runner above it stays clean.
-        assert!(!s.per_fn[idx(&g, "runner")].mutates_shared);
     }
 
     #[test]

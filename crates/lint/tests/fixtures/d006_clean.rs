@@ -1,14 +1,24 @@
-//! Graph fixture: the sharded entry only touches its own arguments.
-fn fold(xs: &[u64]) -> u64 {
-    let mut best = 0;
-    for &x in xs {
-        if x > best {
-            best = x;
-        }
-    }
-    best
+//! Token fixture: state is owned and mutated through `&mut self`; the
+//! test module may still use a `Cell`.
+pub struct Cache {
+    entries: Vec<u64>,
+    hits: u64,
 }
 
-pub fn sweep_sharded(xs: &[u64]) -> u64 {
-    fold(xs)
+impl Cache {
+    pub fn record(&mut self, x: u64) {
+        self.entries.push(x);
+        self.hits += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    #[test]
+    fn counts() {
+        let seen = Cell::new(0u8);
+        seen.set(1);
+    }
 }

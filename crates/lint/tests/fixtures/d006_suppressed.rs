@@ -1,15 +1,5 @@
-//! Graph fixture: the shared-state mutation carries a justified pragma.
-use std::sync::Mutex;
-
-pub struct Shared {
-    hits: Mutex<u64>,
-}
-
-fn record(s: &Shared) {
-    // doe-lint: allow(D006) — fixture: monotone counter, merge is associative
-    s.hits.lock();
-}
-
-pub fn sweep_sharded(s: &Shared) {
-    record(s);
+//! Token fixture: the interior mutability carries a justified pragma.
+pub struct Config {
+    // doe-lint: allow(D006) — fixture: written once, before the value is shared
+    value: std::sync::OnceLock<u64>,
 }

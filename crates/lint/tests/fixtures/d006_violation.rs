@@ -1,19 +1,9 @@
-//! Graph fixture: a sharded entry point reaches a shared-state mutation
-//! two calls down.
+//! Token fixture: a library type hides shared mutable state behind a
+//! lock and an atomic counter.
+use std::sync::atomic::AtomicU64;
 use std::sync::Mutex;
 
-pub struct Shared {
-    hits: Mutex<u64>,
-}
-
-fn record(s: &Shared) {
-    s.hits.lock();
-}
-
-fn helper(s: &Shared) {
-    record(s);
-}
-
-pub fn sweep_sharded(s: &Shared) {
-    helper(s);
+pub struct Cache {
+    entries: Mutex<Vec<u64>>,
+    hits: AtomicU64,
 }

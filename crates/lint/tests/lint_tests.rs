@@ -1,14 +1,14 @@
 //! Fixture-based self-tests for the determinism analyzer.
 //!
-//! Each token rule gets three fixtures — violating, clean, and
-//! pragma-suppressed — and the call-graph rules (D006–D009, D012) and
-//! the effect-summary rules (D013–D015) get the same triple driven
+//! Each token rule (D001–D006) gets three fixtures — violating, clean,
+//! and pragma-suppressed — and the call-graph rules (D007–D009, D012)
+//! and the effect-summary rules (D014–D015) get the same triple driven
 //! through the whole-workspace `analyze` entry point. On top of that:
 //! pragma hygiene (including stale pragmas as P004 errors), `lint.toml`
 //! scoping, byte-determinism of the exported call graph, v4 report and
 //! SARIF export, and meta-tests asserting the live workspace satisfies
-//! its own contract and that the summary fixpoint covers every function
-//! in the graph.
+//! its own contract, that every crate keeps D006, and that the summary
+//! fixpoint covers every function in the graph.
 
 use doe_lint::policy::Policy;
 use doe_lint::{
@@ -17,7 +17,7 @@ use doe_lint::{
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-const ALL_RULES: &[&str] = &["D001", "D002", "D003", "D004", "D005"];
+const ALL_RULES: &[&str] = &["D001", "D002", "D003", "D004", "D005", "D006"];
 
 fn lint(src: &str, rules: &[&str]) -> FileOutcome {
     let enabled: Vec<String> = rules.iter().map(|r| r.to_string()).collect();
@@ -113,6 +113,16 @@ fn d005_narrowing_casts() {
     );
 }
 
+#[test]
+fn d006_interior_mutability() {
+    assert_rule_triple(
+        "D006",
+        include_str!("fixtures/d006_violation.rs"),
+        include_str!("fixtures/d006_clean.rs"),
+        include_str!("fixtures/d006_suppressed.rs"),
+    );
+}
+
 // ---------------------------------------------------------------------
 // Call-graph rules: fixtures run through the whole-workspace `analyze`
 // entry point with the fixture file standing in as a one-crate
@@ -133,20 +143,11 @@ fn analyze_policy_fixture(src: &str, policy: &Policy) -> Analysis {
     analyze(&files, policy, &names).expect("fixture analysis succeeds")
 }
 
-fn analyze_fixture(src: &str, shard: &[&str], proto: &[&str], merge: &[&str]) -> Analysis {
-    let mut policy = Policy::default();
-    policy.graph.shard_entries = shard.iter().map(|s| s.to_string()).collect();
-    policy.graph.protocol_entries = proto.iter().map(|s| s.to_string()).collect();
-    policy.graph.merge_entries = merge.iter().map(|s| s.to_string()).collect();
-    analyze_policy_fixture(src, &policy)
-}
-
 /// A policy rooting only `rule`'s `[graph]` entry set, at `entry`.
 fn graph_policy(rule: &str, entry: &[&str]) -> Policy {
     let mut policy = Policy::default();
     let g = &mut policy.graph;
     let set = match rule {
-        "D006" => &mut g.shard_entries,
         "D007" => &mut g.protocol_entries,
         "D008" => &mut g.merge_entries,
         "D009" => &mut g.step_entries,
@@ -201,17 +202,6 @@ fn assert_graph_triple(rule: &str, entry: &[&str], violation: &str, clean: &str,
 }
 
 #[test]
-fn d006_shard_purity() {
-    assert_graph_triple(
-        "D006",
-        &["fixture_lib::sweep_sharded"],
-        include_str!("fixtures/d006_violation.rs"),
-        include_str!("fixtures/d006_clean.rs"),
-        include_str!("fixtures/d006_suppressed.rs"),
-    );
-}
-
-#[test]
 fn d007_transitive_panic_reachability() {
     assert_graph_triple(
         "D007",
@@ -256,14 +246,11 @@ fn d012_hot_path_allocation() {
 }
 
 // ---------------------------------------------------------------------
-// Effect-summary rules (D013–D015): same triple shape, rooted at the
-// `[summary]` entry sets. D013's evidence is the cycle's witness edges
-// rather than an entry-rooted call chain, so the chain-root assertion
-// is relaxed for it.
+// Effect-summary rules (D014–D015): same triple shape, rooted at the
+// `[summary]` entry sets.
 
-fn analyze_summary_fixture(src: &str, lock: &[&str], decode: &[&str], ident: &[&str]) -> Analysis {
+fn analyze_summary_fixture(src: &str, decode: &[&str], ident: &[&str]) -> Analysis {
     let mut policy = Policy::default();
-    policy.summary.lock_entries = lock.iter().map(|s| s.to_string()).collect();
     policy.summary.decode_entries = decode.iter().map(|s| s.to_string()).collect();
     policy.summary.identity_entries = ident.iter().map(|s| s.to_string()).collect();
     analyze_policy_fixture(src, &policy)
@@ -276,16 +263,12 @@ fn assert_summary_triple(
     clean: &str,
     suppressed: &str,
 ) {
-    let pick = |r: &str| -> (Vec<&str>, Vec<&str>, Vec<&str>) {
-        match r {
-            "D013" => (entry.to_vec(), Vec::new(), Vec::new()),
-            "D014" => (Vec::new(), entry.to_vec(), Vec::new()),
-            _ => (Vec::new(), Vec::new(), entry.to_vec()),
-        }
+    let (d, i) = match rule {
+        "D014" => (entry, &[][..]),
+        _ => (&[][..], entry),
     };
-    let (l, d, i) = pick(rule);
 
-    let v = analyze_summary_fixture(violation, &l, &d, &i).report;
+    let v = analyze_summary_fixture(violation, d, i).report;
     assert!(
         !v.findings.is_empty(),
         "{rule}: violation fixture produced no findings"
@@ -295,33 +278,24 @@ fn assert_summary_triple(
         "{rule}: violation fixture tripped other rules: {:?}",
         v.findings
     );
-    // Every summary-rule finding carries its effect provenance and
-    // evidence: witness edges (D013) or an entry-rooted chain.
+    // Every summary-rule finding carries its effect provenance and an
+    // entry-rooted chain.
     assert!(
-        v.findings
-            .iter()
-            .all(|f| f.summary.is_some() && !f.chain.is_empty()),
-        "{rule}: finding lacks summary provenance or evidence: {:?}",
+        v.findings.iter().all(|f| f.summary.is_some()
+            && !f.chain.is_empty()
+            && f.chain[0].contains(entry[0].rsplit("::").next().unwrap())),
+        "{rule}: finding lacks summary provenance or a chain rooted at the entry: {:?}",
         v.findings
     );
-    if rule != "D013" {
-        assert!(
-            v.findings
-                .iter()
-                .all(|f| f.chain[0].contains(entry[0].rsplit("::").next().unwrap())),
-            "{rule}: finding lacks a chain rooted at the entry: {:?}",
-            v.findings
-        );
-    }
 
-    let c = analyze_summary_fixture(clean, &l, &d, &i).report;
+    let c = analyze_summary_fixture(clean, d, i).report;
     assert!(
         c.findings.is_empty(),
         "{rule}: clean fixture produced findings: {:?}",
         c.findings
     );
 
-    let sup = analyze_summary_fixture(suppressed, &l, &d, &i).report;
+    let sup = analyze_summary_fixture(suppressed, d, i).report;
     assert!(
         sup.findings.is_empty(),
         "{rule}: suppressed fixture still has findings: {:?}",
@@ -331,17 +305,6 @@ fn assert_summary_triple(
         sup.suppressed.iter().any(|x| x.rule == rule),
         "{rule}: suppressed fixture recorded no {rule} suppression: {:?}",
         sup.suppressed
-    );
-}
-
-#[test]
-fn d013_lock_acquisition_order() {
-    assert_summary_triple(
-        "D013",
-        &["fixture_lib::run_shard"],
-        include_str!("fixtures/d013_violation.rs"),
-        include_str!("fixtures/d013_clean.rs"),
-        include_str!("fixtures/d013_suppressed.rs"),
     );
 }
 
@@ -364,38 +327,6 @@ fn d015_shard_identity_on_merge_path() {
         include_str!("fixtures/d015_violation.rs"),
         include_str!("fixtures/d015_clean.rs"),
         include_str!("fixtures/d015_suppressed.rs"),
-    );
-}
-
-/// D013's message must show BOTH acquisition orders — a cycle report
-/// that names only one edge is not actionable.
-#[test]
-fn d013_reports_both_witness_chains() {
-    let report = analyze_summary_fixture(
-        include_str!("fixtures/d013_violation.rs"),
-        &["fixture_lib::run_shard"],
-        &[],
-        &[],
-    )
-    .report;
-    let f = &report.findings[0];
-    assert_eq!(f.rule, "D013");
-    assert_eq!(
-        f.chain.len(),
-        2,
-        "one witness per cycle edge: {:?}",
-        f.chain
-    );
-    assert!(
-        f.message.contains("Worker::record") && f.message.contains("Worker::evict"),
-        "both orders must be named: {}",
-        f.message
-    );
-    assert!(
-        f.message
-            .contains("Worker.cache -> Worker.stats -> Worker.cache"),
-        "cycle must be rendered lock-by-lock: {}",
-        f.message
     );
 }
 
@@ -444,25 +375,15 @@ fn stale_hot_entry_is_a_configuration_error() {
 }
 
 #[test]
-fn d007_chain_reports_every_hop() {
-    let report = analyze_fixture(
-        include_str!("fixtures/d006_violation.rs"),
-        &[],
-        &["fixture_lib::sweep_sharded"],
-        &[],
-    )
-    .report;
-    // The same fixture has no panic site, so rooting D007 there is clean…
+fn chain_reports_every_hop() {
+    let src = include_str!("fixtures/d009_violation.rs");
+    let entry = &["fixture_lib::on_event"];
+    // The fixture has no panic site, so rooting D007 there is clean…
+    let report = analyze_policy_fixture(src, &graph_policy("D007", entry)).report;
     assert!(report.findings.is_empty(), "{:?}", report.findings);
 
-    // …while the D006 chain walks entry -> helper -> record.
-    let report = analyze_fixture(
-        include_str!("fixtures/d006_violation.rs"),
-        &["fixture_lib::sweep_sharded"],
-        &[],
-        &[],
-    )
-    .report;
+    // …while the D009 chain walks entry -> retry -> backoff.
+    let report = analyze_policy_fixture(src, &graph_policy("D009", entry)).report;
     let f = &report.findings[0];
     assert_eq!(
         f.chain.len(),
@@ -470,15 +391,15 @@ fn d007_chain_reports_every_hop() {
         "chain should have three hops: {:?}",
         f.chain
     );
-    assert!(f.chain[0].contains("sweep_sharded"));
-    assert!(f.chain[1].contains("helper"));
-    assert!(f.chain[2].contains("record"));
+    assert!(f.chain[0].contains("on_event"));
+    assert!(f.chain[1].contains("retry"));
+    assert!(f.chain[2].contains("backoff"));
 }
 
 #[test]
 fn stale_graph_entry_is_a_configuration_error() {
     let mut policy = Policy::default();
-    policy.graph.shard_entries = vec!["fixture_lib::renamed_or_removed".to_string()];
+    policy.graph.protocol_entries = vec!["fixture_lib::renamed_or_removed".to_string()];
     let files = vec![LoadedFile {
         file: SourceFile {
             crate_key: "fixture".to_string(),
@@ -486,7 +407,7 @@ fn stale_graph_entry_is_a_configuration_error() {
             display_path: "crates/fixture/src/lib.rs".to_string(),
             abs_path: PathBuf::new(),
         },
-        src: include_str!("fixtures/d006_clean.rs").to_string(),
+        src: include_str!("fixtures/d007_clean.rs").to_string(),
     }];
     let mut names = BTreeMap::new();
     names.insert("fixture".to_string(), "fixture_lib".to_string());
@@ -501,9 +422,9 @@ fn stale_graph_entry_is_a_configuration_error() {
 fn graph_policy_parses_multi_line_arrays() {
     let toml = r#"
         [graph]
-        shard_entries = [
-            "a::sweep",   # trailing comment
-            "b::verify",
+        step_entries = [
+            "a::on_event",   # trailing comment
+            "b::on_event",
         ]
         protocol_entries = ["c::query"]
         merge_entries = []
@@ -512,7 +433,7 @@ fn graph_policy_parses_multi_line_arrays() {
         rules = ["D001"]
     "#;
     let p = Policy::parse(toml).expect("graph policy parses");
-    assert_eq!(p.graph.shard_entries, vec!["a::sweep", "b::verify"]);
+    assert_eq!(p.graph.step_entries, vec!["a::on_event", "b::on_event"]);
     assert_eq!(p.graph.protocol_entries, vec!["c::query"]);
     assert!(p.graph.merge_entries.is_empty());
 }
@@ -662,24 +583,21 @@ fn workspace_policy(root: &Path) -> Policy {
 }
 
 /// The meta-test: the live workspace must satisfy its own contract —
-/// token rules *and* the interprocedural D006–D015 — and every
+/// token rules *and* the interprocedural D007–D015 — and every
 /// recorded suppression must carry a justification.
 #[test]
 fn workspace_lints_clean() {
     let root = workspace_root();
     let policy = workspace_policy(&root);
     assert!(
-        !policy.graph.shard_entries.is_empty()
-            && !policy.graph.protocol_entries.is_empty()
+        !policy.graph.protocol_entries.is_empty()
             && !policy.graph.merge_entries.is_empty()
             && !policy.graph.step_entries.is_empty()
             && !policy.graph.hot_entries.is_empty(),
         "the workspace policy must keep the interprocedural rules rooted"
     );
     assert!(
-        !policy.summary.lock_entries.is_empty()
-            && !policy.summary.decode_entries.is_empty()
-            && !policy.summary.identity_entries.is_empty(),
+        !policy.summary.decode_entries.is_empty() && !policy.summary.identity_entries.is_empty(),
         "the workspace policy must keep the effect-summary rules rooted"
     );
     let report = lint_workspace(&root, &policy).expect("workspace lints");
@@ -697,6 +615,34 @@ fn workspace_lints_clean() {
         "a suppression lost its reason: {:?}",
         report.suppressed
     );
+}
+
+/// D006 is what keeps interior mutability out of library code, so no
+/// `[crates.*]` override may drop it: every crate directory (and the
+/// umbrella package) must have it in force. File entries only add rules.
+#[test]
+fn workspace_policy_enables_d006_everywhere() {
+    let root = workspace_root();
+    let policy = workspace_policy(&root);
+    let mut crates: Vec<String> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/ exists")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    crates.push("root".to_string());
+    for name in &crates {
+        assert!(
+            policy
+                .rules_for(name, "src/lib.rs")
+                .iter()
+                .any(|r| r == "D006"),
+            "lint.toml drops D006 for crate `{name}`"
+        );
+    }
 }
 
 /// Two analyses of the same tree must serialise to byte-identical
@@ -742,7 +688,7 @@ fn callgraph_and_report_are_byte_deterministic() {
 /// of cyclic exact SCCs, and the condensation topologically ordered
 /// (callees' components never after their callers' in emission order is
 /// not required, but each function's effects must include those of its
-/// exact callees' lock sets by the join).
+/// callees by the join).
 #[test]
 fn workspace_summary_fixpoint_covers_every_function() {
     let root = workspace_root();
@@ -756,13 +702,9 @@ fn workspace_summary_fixpoint_covers_every_function() {
         "fixpoint must produce a summary for every function"
     );
     // Join consistency: every caller's summary includes each callee's
-    // effect bits (modulo the ShardCtx boundary clamp on mutates_shared).
-    for (u, node) in a.graph.nodes.iter().enumerate() {
+    // effect bits.
+    for u in 0..n {
         let su = &a.summaries.per_fn[u];
-        if doe_lint::summary::exempt(node) {
-            assert!(!su.mutates_shared, "boundary clamp violated at {u}");
-            continue;
-        }
         for &(v, _, _) in &a.graph.adj[u] {
             let sv = &a.summaries.per_fn[v];
             assert!(!sv.panics || su.panics, "panics not joined {u}<-{v}");
@@ -773,14 +715,14 @@ fn workspace_summary_fixpoint_covers_every_function() {
             );
         }
     }
-    // The workspace certainly allocates somewhere and takes locks
-    // somewhere; a fixpoint that says otherwise silently under-joined.
+    // The workspace certainly allocates and panics somewhere; a
+    // fixpoint that says otherwise silently under-joined.
     assert!(
         a.summaries.per_fn.iter().any(|s| s.allocates),
         "no allocation effect anywhere — summaries under-joined"
     );
     assert!(
-        a.summaries.per_fn.iter().any(|s| !s.lock_set.is_empty()),
-        "no held-lock-set anywhere — lock sites lost"
+        a.summaries.per_fn.iter().any(|s| s.panics),
+        "no panic effect anywhere — summaries under-joined"
     );
 }

@@ -9,8 +9,9 @@
 //!   ([`Arc::make_mut`]), so topology edits stay cheap for the common
 //!   single-owner case and safe when forks exist.
 //! * `ShardCtx` — the per-worker half: seeded RNG stream, virtual clock,
-//!   event log, handler-depth guard and probe counters. Forked fresh per
-//!   shard via [`Network::fork_shard`] and folded back with
+//!   event log, handler-depth guard, probe counters and the typed state
+//!   services keep between queries ([`Network::shard_local`]). Forked
+//!   fresh per shard via [`Network::fork_shard`] and folded back with
 //!   [`Network::absorb_shard`].
 //!
 //! Every public method still takes `&mut Network`, so single-shard callers
@@ -29,6 +30,7 @@ use doe_telemetry::{CounterId, HistogramId, Labels, Registry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -368,7 +370,7 @@ fn rule_labels(rule: Option<&str>) -> Labels {
 }
 
 /// Per-worker session state: RNG stream, virtual clock, trace log,
-/// handler-depth guard and the telemetry registry.
+/// handler-depth guard, the telemetry registry and service state.
 struct ShardCtx {
     id: u64,
     rng: SmallRng,
@@ -390,6 +392,9 @@ struct ShardCtx {
     /// Per-shard counters folded in by [`Network::absorb_shard`], in
     /// absorption order — the data behind `repro --trace`'s breakdown.
     breakdown: Vec<(u64, ShardStats)>,
+    /// Typed service state, at most one value per type (see
+    /// [`Network::shard_local`]).
+    locals: Vec<Box<dyn Any + Send>>,
 }
 
 impl ShardCtx {
@@ -412,14 +417,15 @@ impl ShardCtx {
             sched: Scheduler::new(),
             ids,
             breakdown: Vec::new(),
+            locals: Vec::new(),
         }
     }
 
     /// The registry the current operation records into: the real one at
     /// top level, a disabled one inside service handlers. Handler-internal
     /// traffic (resolver cache fills, upstream fetches) depends on shard
-    /// layout through shared caches and per-worker clocks, so recording it
-    /// would break the snapshot's shard-count invariance — like
+    /// layout through per-shard caches and per-worker clocks, so recording
+    /// it would break the snapshot's shard-count invariance — like
     /// [`Network::charge`], nested work is attributed to the outer
     /// exchange.
     fn meter(&mut self) -> &mut Registry {
@@ -472,7 +478,8 @@ impl Network {
     /// Fork a worker view for shard `id`: the data plane is shared, the
     /// session state is fresh with an RNG stream derived from the base seed
     /// and the shard id ([`mix_seed`]). The fork starts at the parent's
-    /// virtual time with an empty trace log of the same capacity.
+    /// virtual time with an empty trace log of the same capacity and no
+    /// [`Network::shard_local`] state.
     pub fn fork_shard(&self, id: u64) -> Network {
         let log = if self.plane.cfg.trace_capacity > 0 {
             EventLog::with_capacity(self.plane.cfg.trace_capacity)
@@ -496,8 +503,9 @@ impl Network {
     /// registry (counter/bucket addition, gauge max — associative and
     /// commutative, so the merged registry is shard-count invariant),
     /// charged time, trace events (in the worker's order) and clock
-    /// high-water mark. Absorb workers in ascending shard order for
-    /// deterministic logs.
+    /// high-water mark. The worker's [`Network::shard_local`] state is
+    /// dropped. Absorb workers in ascending shard order for deterministic
+    /// logs.
     pub fn absorb_shard(&mut self, worker: Network) {
         let worker_stats = worker.shard_stats();
         if worker.shard.now > self.shard.now {
@@ -508,6 +516,43 @@ impl Network {
         self.shard.breakdown.extend(worker.shard.breakdown);
         self.shard.breakdown.push((worker.shard.id, worker_stats));
         self.shard.log.absorb(worker.shard.log);
+    }
+
+    /// Run `f` on this shard's value of type `T`, creating `T::default()`
+    /// on first use.
+    ///
+    /// Services keep state between queries here — a resolver's dynamic
+    /// cache, a test's ground-truth log — so a worker mutates only what
+    /// its own `Network` owns. Forks start with no values and
+    /// [`Network::absorb_shard`] drops the worker's, so nothing one worker
+    /// stores is visible to another.
+    pub fn shard_local<T: Default + Send + 'static, R>(
+        &mut self,
+        f: impl FnOnce(&mut T) -> R,
+    ) -> R {
+        if let Some(value) = self.local_mut::<T>() {
+            return f(value);
+        }
+        let mut value = T::default();
+        let out = f(&mut value);
+        self.shard.locals.push(Box::new(value));
+        out
+    }
+
+    /// Run `f` on this shard's `T` only if [`Network::shard_local`]
+    /// already created it; `None` otherwise. Creates nothing.
+    pub fn shard_local_if_present<T: Send + 'static, R>(
+        &mut self,
+        f: impl FnOnce(&mut T) -> R,
+    ) -> Option<R> {
+        self.local_mut::<T>().map(f)
+    }
+
+    fn local_mut<T: Send + 'static>(&mut self) -> Option<&mut T> {
+        self.shard
+            .locals
+            .iter_mut()
+            .find_map(|value| value.downcast_mut::<T>())
     }
 
     /// Per-shard counters recorded at each [`Network::absorb_shard`], in
@@ -1916,6 +1961,35 @@ mod tests {
                 "junk-silent",
             )),
         });
+    }
+
+    #[test]
+    fn shard_local_state_is_per_fork_and_dropped_on_absorb() {
+        let mut net = Network::new(NetworkConfig::default(), 35);
+        // The "if present" accessor creates nothing.
+        assert_eq!(net.shard_local_if_present(|n: &mut u64| *n), None);
+        assert_eq!(net.shard_local_if_present(|n: &mut u64| *n), None);
+        net.shard_local(|n: &mut u64| *n += 5);
+        assert_eq!(net.shard_local_if_present(|n: &mut u64| *n), Some(5));
+
+        let mut worker = net.fork_shard(1);
+        assert_eq!(
+            worker.shard_local_if_present(|n: &mut u64| *n),
+            None,
+            "a fork starts with no state"
+        );
+        worker.shard_local(|n: &mut u64| *n += 1);
+        worker.shard_local(|s: &mut String| s.push('w'));
+        assert_eq!(worker.shard_local(|n: &mut u64| *n), 1);
+        assert_eq!(
+            net.fork_shard(2).shard_local_if_present(|n: &mut u64| *n),
+            None,
+            "every fork is fresh"
+        );
+
+        net.absorb_shard(worker);
+        assert_eq!(net.shard_local(|n: &mut u64| *n), 5, "worker value dropped");
+        assert_eq!(net.shard_local_if_present(|s: &mut String| s.len()), None);
     }
 
     /// Draw `n` values from the network's current RNG.

@@ -21,9 +21,7 @@ use crate::handshake::{HandshakeMsg, TlsCosts};
 use crate::record::{decode_records, encode_records, open, seal, ContentType, Record, SessionKey};
 use crate::server::{answer_client_hello, TlsServerConfig};
 use netsim::{PeerInfo, Service, ServiceCtx, StreamHandler};
-use parking_lot::Mutex;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// One plaintext exchange the device observed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,9 +36,15 @@ pub struct InterceptedExchange {
     pub plaintext: Vec<u8>,
 }
 
-/// Shared log of everything a device decrypted — ground truth for
-/// "queries from clients are visible to the interceptors".
-pub type InterceptLog = Arc<Mutex<Vec<InterceptedExchange>>>;
+/// Everything interception devices decrypted — ground truth for "queries
+/// from clients are visible to the interceptors".
+///
+/// The log lives in a network's shard-local state. A test installs it with
+/// `net.shard_local(|_: &mut InterceptLog| ())` on the network it queries,
+/// and from then on every [`TlsInterceptService`] on that network appends
+/// to it. Without one, devices retain nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct InterceptLog(pub Vec<InterceptedExchange>);
 
 /// How the device obtains the certificate it presents.
 #[derive(Debug, Clone)]
@@ -60,7 +64,6 @@ pub struct TlsInterceptService {
     /// Where to forward; `None` forwards to the client's original
     /// destination (inline mode).
     upstream_override: Option<(Ipv4Addr, u16)>,
-    log: InterceptLog,
     now: DateStamp,
     costs: TlsCosts,
 }
@@ -73,7 +76,6 @@ impl TlsInterceptService {
             device_key,
             strategy: PresentStrategy::ResignUpstream,
             upstream_override: None,
-            log: Arc::new(Mutex::new(Vec::new())),
             now,
             costs: TlsCosts::default(),
         }
@@ -93,15 +95,9 @@ impl TlsInterceptService {
             device_key,
             strategy: PresentStrategy::Fixed(chain),
             upstream_override: Some(upstream),
-            log: Arc::new(Mutex::new(Vec::new())),
             now,
             costs: TlsCosts::default(),
         }
-    }
-
-    /// Handle to the decrypted-traffic log.
-    pub fn log(&self) -> InterceptLog {
-        Arc::clone(&self.log)
     }
 
     /// The device's CA common name (what shows up in Table 6).
@@ -124,7 +120,6 @@ struct InterceptHandler {
     device_key: KeyId,
     strategy: PresentStrategy,
     upstream_override: Option<(Ipv4Addr, u16)>,
-    log: InterceptLog,
     peer: PeerInfo,
     now: DateStamp,
     costs: TlsCosts,
@@ -251,18 +246,15 @@ impl StreamHandler for InterceptHandler {
                         Ok(p) => p,
                         Err(_) => return self.alert("bad_record_mac"),
                     };
-                    // doe-lint: allow(D006, D009) — ground-truth log read as an
-                    // unordered set by tests only, never rendered into merged
-                    // reports, so append order is unobservable; and the mutex is
-                    // uncontended by construction (one interception handler per
-                    // single-threaded shard), so the acquisition cannot stall the
-                    // event loop
-                    self.log.lock().push(InterceptedExchange {
-                        client: self.peer.src,
-                        original_dst: self.peer.original_dst,
-                        port: self.peer.original_port,
-                        plaintext: plaintext.clone(),
-                    });
+                    ctx.network()
+                        .shard_local_if_present(|log: &mut InterceptLog| {
+                            log.0.push(InterceptedExchange {
+                                client: self.peer.src,
+                                original_dst: self.peer.original_dst,
+                                port: self.peer.original_port,
+                                plaintext: plaintext.clone(),
+                            })
+                        });
                     let response = match upstream.request(ctx.network(), &plaintext) {
                         Ok(r) => r,
                         Err(_) => return self.alert("upstream_failed"),
@@ -290,7 +282,6 @@ impl Service for TlsInterceptService {
             device_key: self.device_key,
             strategy: self.strategy.clone(),
             upstream_override: self.upstream_override,
-            log: Arc::clone(&self.log),
             peer,
             now: self.now,
             costs: self.costs,

@@ -7,7 +7,7 @@ use netsim::{
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use tlssim::{
-    CaHandle, CertError, DateStamp, KeyId, TlsClientConfig, TlsConnector, TlsError,
+    CaHandle, CertError, DateStamp, InterceptLog, KeyId, TlsClientConfig, TlsConnector, TlsError,
     TlsInterceptService, TlsServerConfig, TlsServerService, TrustStore, VerifyMode,
 };
 
@@ -168,8 +168,9 @@ fn interception_breaks_strict_but_not_opportunistic() {
     );
     let mitm_ca = CaHandle::new("SonicWall Firewall DPI-SSL", KeyId(100), NOW() + -100, 3650);
     let device = TlsInterceptService::inline_interceptor(mitm_ca, KeyId(101), NOW());
-    let log = device.log();
     w.net.bind_tcp(device_ip, 853, Arc::new(device));
+    w.net.shard_local(|_: &mut InterceptLog| ());
+    let logged = |net: &mut Network| net.shard_local(|log: &mut InterceptLog| log.0.clone());
     w.net.policies_mut().push(
         PolicyRule::new("dpi-divert", PathDecision::DivertTo(device_ip))
             .to_dst(DstMatch::Ip(w.server)),
@@ -191,20 +192,23 @@ fn interception_breaks_strict_but_not_opportunistic() {
     assert_eq!(stream.server_chain()[0].subject_cn, "dns.example.com");
     let resp = stream.request(&mut w.net, b"secret query").unwrap();
     assert_eq!(resp, b"SECRET QUERY", "proxied through to the real server");
-    let seen = log.lock();
+    let seen = logged(&mut w.net);
     assert_eq!(seen.len(), 1);
     assert_eq!(seen[0].plaintext, b"secret query");
     assert_eq!(seen[0].original_dst, w.server);
-    drop(seen);
 
     // Strict profile: certificate error, no plaintext leaks.
-    let before = log.lock().len();
+    let before = seen.len();
     let mut strict = TlsConnector::new(TlsClientConfig::strict(w.store.clone(), NOW()));
     let err = strict
         .connect(&mut w.net, w.client, w.server, 853, Some("dns.example.com"))
         .unwrap_err();
     assert!(matches!(err, TlsError::Cert(CertError::UntrustedCa { .. })));
-    assert_eq!(log.lock().len(), before, "strict client leaked nothing");
+    assert_eq!(
+        logged(&mut w.net).len(),
+        before,
+        "strict client leaked nothing"
+    );
 }
 
 #[test]

@@ -1,17 +1,13 @@
 //! SOCKS5 (RFC 1928), the wire protocol of the residential proxy
 //! networks (Figure 5 of the paper).
 //!
-//! The super proxy accepts a client's CONNECT, picks an exit node from its
-//! pool, dials the destination *from the exit's address*, and relays
-//! bytes. The exit hop's round trips are charged to the tunnel, so a
-//! measurement client's observed latency is `T_R = tunnel + T'_R` exactly
-//! as Figure 8 describes.
+//! The super proxy accepts a client's CONNECT, dials the destination *from
+//! its exit node's address*, and relays bytes. The exit hop's round trips
+//! are charged to the tunnel, so a measurement client's observed latency
+//! is `T_R = tunnel + T'_R` exactly as Figure 8 describes.
 
 use netsim::{Conn, Network, PeerInfo, Service, ServiceCtx, StreamHandler};
-use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// SOCKS protocol version.
 const VER: u8 = 0x05;
@@ -51,22 +47,16 @@ fn reply(code: u8) -> Vec<u8> {
     out
 }
 
-/// The super-proxy service: SOCKS5 front, exit-node pool behind.
+/// The super-proxy service: SOCKS5 front, one exit node behind. A pool of
+/// exits is one relay per exit.
 pub struct Socks5RelayService {
-    exits: Arc<Mutex<VecDeque<Ipv4Addr>>>,
+    exit: Ipv4Addr,
 }
 
 impl Socks5RelayService {
-    /// Build with a pool of exit nodes (rotated round-robin per CONNECT).
-    pub fn new(exits: Vec<Ipv4Addr>) -> Self {
-        Socks5RelayService {
-            exits: Arc::new(Mutex::new(exits.into())),
-        }
-    }
-
-    /// Handle to the rotating pool (tests inject rotation).
-    pub fn exits(&self) -> Arc<Mutex<VecDeque<Ipv4Addr>>> {
-        Arc::clone(&self.exits)
+    /// Relay every CONNECT through `exit`.
+    pub fn new(exit: Ipv4Addr) -> Self {
+        Socks5RelayService { exit }
     }
 }
 
@@ -78,7 +68,7 @@ enum RelayState {
 }
 
 struct RelayHandler {
-    exits: Arc<Mutex<VecDeque<Ipv4Addr>>>,
+    exit: Ipv4Addr,
     state: RelayState,
 }
 
@@ -99,24 +89,7 @@ impl StreamHandler for RelayHandler {
                     self.state = RelayState::Dead;
                     return reply(0x07); // command not supported
                 };
-                let exit = {
-                    // doe-lint: allow(D006) — exit rotation runs only under the
-                    // integration harness (DESIGN.md: proxy latency shortcut); sharded
-                    // stages never register a relay — the analyzer reaches this via the
-                    // conservative exchange→handler edge
-                    let mut exits = self.exits.lock();
-                    match exits.pop_front() {
-                        Some(e) => {
-                            exits.push_back(e);
-                            e
-                        }
-                        None => {
-                            self.state = RelayState::Dead;
-                            return reply(0x01); // general failure
-                        }
-                    }
-                };
-                match ctx.network().connect(exit, dst, port) {
+                match ctx.network().connect(self.exit, dst, port) {
                     Ok(conn) => {
                         ctx.charge(conn.elapsed());
                         self.state = RelayState::Established {
@@ -154,7 +127,7 @@ impl StreamHandler for RelayHandler {
 impl Service for Socks5RelayService {
     fn open_stream(&self, _peer: PeerInfo) -> Box<dyn StreamHandler> {
         Box::new(RelayHandler {
-            exits: Arc::clone(&self.exits),
+            exit: self.exit,
             state: RelayState::AwaitGreeting,
         })
     }
@@ -220,6 +193,7 @@ mod tests {
     use super::*;
     use netsim::service::FnStreamService;
     use netsim::{HostMeta, NetworkConfig};
+    use std::sync::Arc;
 
     fn world() -> (Network, Ipv4Addr, Ipv4Addr, Ipv4Addr, Ipv4Addr) {
         let mut net = Network::new(NetworkConfig::default(), 77);
@@ -245,7 +219,7 @@ mod tests {
                 "echo-src",
             )),
         );
-        net.bind_tcp(proxy, 1080, Arc::new(Socks5RelayService::new(vec![exit])));
+        net.bind_tcp(proxy, 1080, Arc::new(Socks5RelayService::new(exit)));
         (net, mc, proxy, exit, server)
     }
 
@@ -300,26 +274,5 @@ mod tests {
             tunnel.elapsed()
         );
         tunnel.close(&mut net);
-    }
-
-    #[test]
-    fn exits_rotate_round_robin() {
-        let (mut net, mc, proxy, exit, server) = world();
-        let exit2: Ipv4Addr = "64.10.0.6".parse().unwrap();
-        net.add_host(HostMeta::new(exit2).country("IN"));
-        // Rebind with two exits.
-        net.bind_tcp(
-            proxy,
-            1080,
-            Arc::new(Socks5RelayService::new(vec![exit, exit2])),
-        );
-        let mut seen = Vec::new();
-        for _ in 0..2 {
-            let mut t = Socks5Client::tunnel(&mut net, mc, proxy, 1080, server, 7).unwrap();
-            let resp = t.exchange(&mut net, b"q").unwrap();
-            seen.push(Ipv4Addr::new(resp[0], resp[1], resp[2], resp[3]));
-            t.close(&mut net);
-        }
-        assert_eq!(seen, vec![exit, exit2]);
     }
 }

@@ -18,12 +18,10 @@ use netsim::{
 };
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-use tlssim::{CaHandle, DateStamp, InterceptLog, KeyId, TlsInterceptService};
+use tlssim::{CaHandle, DateStamp, KeyId, TlsInterceptService};
 
 /// What got installed, for ground-truth inspection.
 pub struct InstalledDevices {
-    /// Interceptor logs, keyed by device CA common name.
-    pub intercept_logs: Vec<(String, InterceptLog)>,
     /// Conflict devices: (client block, device address, kind).
     pub conflict_devices: Vec<(Netblock, Ipv4Addr, DeviceKind)>,
 }
@@ -117,7 +115,6 @@ pub fn install(
     key_base: u64,
 ) -> InstalledDevices {
     let mut rules = PolicySet::new();
-    let mut intercept_logs = Vec::new();
     let mut conflict_devices = Vec::new();
     let mut next_device: u32 = u32::from(Ipv4Addr::new(10, 0, 0, 1));
     let mut next_key = key_base;
@@ -131,9 +128,7 @@ pub fn install(
         next_key += 1;
         let device_key = KeyId(next_key);
         next_key += 1;
-        let service = TlsInterceptService::inline_interceptor(ca, device_key, now);
-        intercept_logs.push((spec.ca_cn.clone(), service.log()));
-        let service = Arc::new(service);
+        let service = Arc::new(TlsInterceptService::inline_interceptor(ca, device_key, now));
         let ports = if spec.intercepts_853 {
             vec![443u16, 853]
         } else {
@@ -225,10 +220,7 @@ pub fn install(
         net.policies_mut().push(rule.clone());
     }
 
-    InstalledDevices {
-        intercept_logs,
-        conflict_devices,
-    }
+    InstalledDevices { conflict_devices }
 }
 
 #[cfg(test)]
@@ -439,7 +431,18 @@ mod tests {
             DateStamp::from_ymd(2019, 2, 1),
             60_000,
         );
-        assert_eq!(installed.intercept_logs.len(), 2);
+        assert!(installed.conflict_devices.is_empty());
+        let labels: Vec<_> = [Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2)]
+            .iter()
+            .map(|&ip| net.host_meta(ip).map(|m| m.label.clone()))
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                Some("interceptor:Test DPI".to_string()),
+                Some("interceptor:443 Only".to_string())
+            ]
+        );
         // Client in b2 reaching 853 is NOT diverted (rule covers 443 only):
         // destination Cloudflare has no 853 bound in this fixture, so the
         // connection is refused by the real host rather than the device.

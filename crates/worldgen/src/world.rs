@@ -13,7 +13,7 @@ use crate::types::{
 use dnswire::zone::Zone;
 use dnswire::{Name, RData, RecordType, ResourceRecord};
 use doe_protocols::recursive::{MissDelay, RecursiveConfig, RecursiveResolver, UpstreamMap};
-use doe_protocols::responder::{AuthoritativeServer, DnsResponder, FixedAnswerResponder, QueryLog};
+use doe_protocols::responder::{AuthoritativeServer, DnsResponder, FixedAnswerResponder};
 use doe_protocols::{
     Do53TcpService, Do53UdpService, DohBackend, DohServerService, DotServerService,
 };
@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-use tlssim::{CaHandle, Certificate, DateStamp, InterceptLog, KeyId, TlsServerConfig, TrustStore};
+use tlssim::{CaHandle, Certificate, DateStamp, KeyId, TlsServerConfig, TrustStore};
 
 /// The study's own probe domain and its authoritative server.
 pub struct ProbeInfra {
@@ -38,9 +38,6 @@ pub struct ProbeInfra {
     pub expected_a: Ipv4Addr,
     /// Authoritative server address.
     pub auth_addr: Ipv4Addr,
-    /// Ground-truth log of queries reaching the authoritative server, for
-    /// tests (the one logging server a world builds).
-    pub auth_log: QueryLog,
 }
 
 /// The self-built resolver of §4.1.
@@ -109,8 +106,6 @@ pub struct World {
     pub proxyrack: ClientPool,
     /// Censored CN vantage pool.
     pub zhima: ClientPool,
-    /// Interceptor decrypted-traffic logs by CA CN.
-    pub intercept_logs: Vec<(String, InterceptLog)>,
     /// Conflict devices installed: (client block, device addr, kind).
     pub conflict_devices: Vec<(Netblock, Ipv4Addr, DeviceKind)>,
     /// The scanner's target address space.
@@ -244,8 +239,7 @@ impl World {
             zone.add_record(&host_apex, 300, RData::A(*front));
             zones.push(zone);
         }
-        let (auth_server, auth_log) = AuthoritativeServer::with_log(zones);
-        let auth_server = Arc::new(auth_server);
+        let auth_server = Arc::new(AuthoritativeServer::new(zones));
         net.add_host(
             HostMeta::new(anchors::PROBE_AUTH)
                 .country("US")
@@ -279,13 +273,13 @@ impl World {
                 .anycast()
                 .label("bootstrap-resolver"),
         );
-        let bootstrap_responder = Arc::new(RecursiveResolver::new(
+        let mut bootstrap_responder = RecursiveResolver::new(
             upstreams.clone(),
             RecursiveConfig {
                 servfail_rate: 0.0,
                 ..RecursiveConfig::default()
             },
-        ));
+        );
         // Real deployments keep the big DoH front-end hostnames permanently
         // hot, so pin them: every bootstrap lookup is a cache hit no matter
         // which worker asks first or how the clients are sharded.
@@ -297,7 +291,7 @@ impl World {
         net.bind_udp(
             anchors::BOOTSTRAP_RESOLVER,
             53,
-            Arc::new(Do53UdpService::new(bootstrap_responder)),
+            Arc::new(Do53UdpService::new(Arc::new(bootstrap_responder))),
         );
 
         // ---- Middleboxes --------------------------------------------------
@@ -307,13 +301,12 @@ impl World {
             .filter(|s| s.blocked_in_cn)
             .map(|s| s.front)
             .collect();
-        let InstalledDevices {
-            intercept_logs,
-            conflict_devices,
-        } = devices::install(&mut net, &plan, &google_fronts, first, 500_000);
+        let InstalledDevices { conflict_devices } =
+            devices::install(&mut net, &plan, &google_fronts, first, 500_000);
 
         // ---- Resolver bundles ---------------------------------------------
-        // Shared per-provider responders (shared cache ≈ anycast backend).
+        // One responder per provider, shared by all its addresses; each
+        // address keeps its own dynamic cache on each shard.
         let mut responders: BTreeMap<String, Arc<dyn DnsResponder>> = BTreeMap::new();
         let mut responder_for = |provider: &str,
                                  behavior: &ResolverBehavior,
@@ -734,12 +727,10 @@ impl World {
                 apex,
                 expected_a,
                 auth_addr: anchors::PROBE_AUTH,
-                auth_log,
             },
             deployment,
             proxyrack,
             zhima,
-            intercept_logs,
             conflict_devices,
             scan_space,
             corpus,
@@ -766,14 +757,11 @@ impl World {
     /// Reserve a block of `n` probe-domain query serials, returning the
     /// first serial in the block.
     ///
-    /// Measurement stages build unique query names (`d42.<apex>`) so a
-    /// recursive cache can never answer one probe with another's fill —
-    /// the "per-target unique" half of the cache-determinism contract
-    /// (`RecursiveResolver::cache_get`). That only holds if stages draw
-    /// from disjoint serial ranges: two stages restarting at serial 0
-    /// would replay each other's names, and whether the replay hits or
-    /// misses would depend on which entries FIFO eviction happened to
-    /// keep — an order that varies with worker interleaving.
+    /// Measurement stages build unique query names (`d42.<apex>`), as the
+    /// paper's §4 probes do, so no resolver cache can answer a probe and
+    /// every probe reaches the authoritative server. Disjoint blocks keep
+    /// the names unique across stages that restart their client index at
+    /// 0.
     pub fn take_probe_serials(&mut self, n: u64) -> u64 {
         let base = self.probe_serials;
         self.probe_serials += n;

@@ -4,8 +4,8 @@
 
 use dnswire::{builder, Rcode, RecordType};
 use doe_protocols::dot::DotClient;
-use doe_protocols::{Bootstrap, DohClient, DohMethod};
-use tlssim::TlsClientConfig;
+use doe_protocols::{Bootstrap, DohClient, DohMethod, QueryLog};
+use tlssim::{InterceptLog, TlsClientConfig};
 use worldgen::{Affliction, World, WorldConfig};
 
 fn test_world() -> World {
@@ -38,6 +38,7 @@ fn clean_client_full_stack_dot_query() {
         .find(|c| c.affliction == Affliction::None && c.country.as_str() == "US")
         .expect("clean US client")
         .clone();
+    w.net.shard_local(|_: &mut QueryLog| ());
     let mut dot = DotClient::new(TlsClientConfig::opportunistic(
         w.trust_store.clone(),
         w.epoch(),
@@ -59,7 +60,7 @@ fn clean_client_full_stack_dot_query() {
         other => panic!("expected A, got {other:?}"),
     }
     // The authoritative server saw Cloudflare's resolver, not the client.
-    let log = w.probe.auth_log.lock();
+    let QueryLog(log) = w.net.shard_local(|log: &mut QueryLog| log.clone());
     let entry = log
         .iter()
         .find(|e| e.qname.to_string().starts_with("smoke1"))
@@ -125,6 +126,7 @@ fn intercepted_client_leaks_queries_opportunistically() {
     let Affliction::Intercepted { ca_cn, .. } = &client.affliction else {
         unreachable!()
     };
+    w.net.shard_local(|_: &mut InterceptLog| ());
     let mut dot = DotClient::new(TlsClientConfig::opportunistic(
         w.trust_store.clone(),
         w.epoch(),
@@ -148,13 +150,11 @@ fn intercepted_client_leaks_queries_opportunistically() {
         other => panic!("expected untrusted CA, got {other:?}"),
     }
     // The device logged the plaintext.
-    let log = w
-        .intercept_logs
-        .iter()
-        .find(|(cn, _)| cn == ca_cn)
-        .map(|(_, log)| log)
-        .expect("device log");
-    assert!(!log.lock().is_empty(), "interceptor saw the query");
+    let InterceptLog(log) = w.net.shard_local(|log: &mut InterceptLog| log.clone());
+    assert!(
+        log.iter().any(|e| e.client == client.ip),
+        "interceptor saw the query"
+    );
 }
 
 #[test]

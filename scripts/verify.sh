@@ -137,10 +137,9 @@ echo "==> doe-lint (determinism contract: token rules + call-graph reachability 
 # One pass writes the artifacts (v4 report and SARIF, both archived;
 # the v2 call graph, regenerated here and git-ignored); a second pass
 # re-derives all three so the gate catches any nondeterminism in the
-# analyzer itself — including the effect-summary fixpoint and the
-# lock-order cycle search. A stale entry in lint.toml
-# (renamed function, dropped rule root) is a hard error inside the run,
-# so the D006–D015 roots cannot rot silently.
+# analyzer itself — including the effect-summary fixpoint. A stale
+# entry in lint.toml (renamed function, dropped rule root) is a hard
+# error inside the run, so the D007–D015 roots cannot rot silently.
 cargo run -q --release -p doe-lint --offline -- \
     --json-out results/doe-lint.json --graph-out results/callgraph.json \
     --sarif results/doe-lint.sarif
@@ -162,7 +161,7 @@ cmp results/doe-lint.sarif results/doe-lint.second.sarif || {
 }
 rm -f results/callgraph.second.json results/doe-lint.second.json \
       results/doe-lint.second.sarif
-grep -q '"rule": "D006"\|"shard_entries"\|"nodes"' results/callgraph.json || {
+grep -q '"nodes"' results/callgraph.json || {
     echo "FAIL: results/callgraph.json lost its node section" >&2
     exit 1
 }
@@ -172,6 +171,15 @@ grep -q '"version": 4' results/doe-lint.json || {
 }
 grep -q '"clean": true' results/doe-lint.json || {
     echo "FAIL: doe-lint reports unsuppressed findings" >&2
+    exit 1
+}
+# Suppressions are a budget, not an escape hatch: interior mutability is
+# banned outright (D006), so the three that remain are the documented
+# rdata panic (D004/D007) and the masked scanner cast (D005).
+suppressed=$(grep -o '"suppressed": [0-9][0-9]*' results/doe-lint.json \
+    | grep -o '[0-9][0-9]*$' || true)
+[ "${suppressed:-99}" -le 3 ] || {
+    echo "FAIL: doe-lint reports $suppressed suppressions (budget: 3)" >&2
     exit 1
 }
 grep -q '"version": "2.1.0"' results/doe-lint.sarif || {
@@ -185,17 +193,16 @@ cargo run -q --release -p doe-lint --offline -- \
     echo "FAIL: doe-lint --baseline reports regressions against the archived report" >&2
     exit 1
 }
-# The reachability rules (D006-D009, D012) must stay rooted in
-# lint.toml [graph], the summary rules (D013-D015) in [summary].
+# The reachability rules (D007-D009, D012) must stay rooted in
+# lint.toml [graph], the summary rules (D014-D015) in [summary].
 section_has() {
     awk -v sec="[$1]" -v key="$2 = [" '
         /^\[/ { in_sec = ($0 == sec) }
         in_sec && index($0, key) == 1 { found = 1 }
         END { exit !found }' lint.toml
 }
-for roots in graph:shard_entries graph:protocol_entries graph:merge_entries \
-             graph:step_entries graph:hot_entries summary:lock_entries \
-             summary:decode_entries summary:identity_entries; do
+for roots in graph:protocol_entries graph:merge_entries graph:step_entries \
+             graph:hot_entries summary:decode_entries summary:identity_entries; do
     section_has "${roots%%:*}" "${roots#*:}" || {
         echo "FAIL: lint.toml [${roots%%:*}] lost its ${roots#*:} roots" >&2
         exit 1

@@ -4,10 +4,12 @@
 
 use dnswire::{builder, Rcode, RecordType};
 use doe_core::{Study, StudyConfig};
+use doe_protocols::QueryLog;
 use doe_vantage::socks::Socks5Client;
 use netsim::HostMeta;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
+use tlssim::InterceptLog;
 use worldgen::{Affliction, World, WorldConfig};
 
 #[test]
@@ -128,7 +130,7 @@ fn dns_through_a_real_socks5_tunnel() {
         world.net.bind_tcp(
             super_proxy,
             1080,
-            Arc::new(doe_vantage::Socks5RelayService::new(vec![exit.ip])),
+            Arc::new(doe_vantage::Socks5RelayService::new(exit.ip)),
         );
         let target = worldgen::providers::anchors::CLOUDFLARE_PRIMARY;
         let tunnel = Socks5Client::tunnel(&mut world.net, mc, super_proxy, 1080, target, 53);
@@ -177,6 +179,9 @@ fn interception_ground_truth_cross_check() {
         })
         .unwrap()
         .clone();
+    // Ground truth is recorded only on a network that carries the logs.
+    world.net.shard_local(|_: &mut QueryLog| ());
+    world.net.shard_local(|_: &mut InterceptLog| ());
     let mut dot = doe_protocols::dot::DotClient::new(tlssim::TlsClientConfig::opportunistic(
         world.trust_store.clone(),
         world.epoch(),
@@ -194,26 +199,15 @@ fn interception_ground_truth_cross_check() {
     assert_eq!(reply.message.rcode(), Rcode::NoError);
 
     // The device saw framed DNS containing our query name.
-    let ca_cn = match &victim.affliction {
-        Affliction::Intercepted { ca_cn, .. } => ca_cn.clone(),
-        _ => unreachable!(),
-    };
-    let log = world
-        .intercept_logs
-        .iter()
-        .find(|(cn, _)| *cn == ca_cn)
-        .map(|(_, l)| l)
-        .unwrap();
-    let entries = log.lock();
+    let InterceptLog(entries) = world.net.shard_local(|log: &mut InterceptLog| log.clone());
     assert!(entries.iter().any(|e| {
         e.client == victim.ip && String::from_utf8_lossy(&e.plaintext).contains("leak1")
     }));
-    drop(entries);
 
     // And the authoritative server saw the *resolver*, not the client or
     // the device (the device proxies to the genuine resolver, which then
     // recurses).
-    let auth_log = world.probe.auth_log.lock();
+    let QueryLog(auth_log) = world.net.shard_local(|log: &mut QueryLog| log.clone());
     let entry = auth_log
         .iter()
         .find(|e| e.qname.to_string().starts_with("leak1"))

@@ -105,15 +105,6 @@ fn finding_2_shape_censorship_and_interception() {
     let global = s.reach_global().clone();
     assert!(!global.interceptions.is_empty());
     assert!(global.interceptions.iter().any(|i| i.port_853));
-    // Ground truth: every interceptor's log actually saw plaintext from
-    // its client (checked through the world's device logs).
-    let seen: usize = s
-        .world
-        .intercept_logs
-        .iter()
-        .map(|(_, log)| log.lock().len())
-        .sum();
-    assert!(seen > 0, "devices decrypted nothing?");
 }
 
 #[test]
