@@ -1,7 +1,8 @@
 //! Property-based tests: the shapers must conserve real traffic, keep
 //! their documented cost profile (who pays latency, who pays bandwidth)
 //! and stay bit-deterministic; the classifier's distance must behave
-//! like an edit distance on every input.
+//! like an edit distance on every input, and its pruned search must
+//! agree exactly with the unpruned DP and all-pairs ranking it replaced.
 
 use dnswire::PaddingPolicy;
 use doe_privacy::classifier::{knn_classify, sequence_distance, LabeledTrace};
@@ -33,6 +34,158 @@ fn arb_sequence() -> impl Strategy<Value = MessageSequence> {
 
 fn arb_symbols() -> impl Strategy<Value = Vec<u16>> {
     proptest::collection::vec(0u16..64, 0..24)
+}
+
+/// The classifier's distance before pruning, verbatim: the full OSA
+/// table over three rolling rows.
+fn reference_distance(a: &[u16], b: &[u16]) -> u32 {
+    let (n, m) = (a.len(), b.len());
+    if n == 0 {
+        return m as u32;
+    }
+    if m == 0 {
+        return n as u32;
+    }
+    // Three rolling rows: i-2, i-1, i.
+    let mut prev2 = vec![0u32; m + 1];
+    let mut prev = (0..=m as u32).collect::<Vec<_>>();
+    let mut cur = vec![0u32; m + 1];
+    for i in 1..=n {
+        cur[0] = i as u32;
+        for j in 1..=m {
+            let sub = if a[i - 1] == b[j - 1] { 0 } else { 1 };
+            let mut d = (prev[j] + 1).min(cur[j - 1] + 1).min(prev[j - 1] + sub);
+            if i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1] {
+                d = d.min(prev2[j - 2] + 1);
+            }
+            cur[j] = d;
+        }
+        std::mem::swap(&mut prev2, &mut prev);
+        std::mem::swap(&mut prev, &mut cur);
+    }
+    prev[m]
+}
+
+/// The classifier before pruning, verbatim: every distance, one full
+/// sort, then the vote.
+fn reference_knn(train: &[LabeledTrace], sample: &[u16], k: usize) -> Option<u32> {
+    if train.is_empty() || k == 0 {
+        return None;
+    }
+    let mut ranked: Vec<(u32, u32, usize)> = train
+        .iter()
+        .enumerate()
+        .map(|(idx, t)| (reference_distance(&t.symbols, sample), t.domain, idx))
+        .collect();
+    ranked.sort_unstable();
+    ranked.truncate(k);
+    // Tally votes over the k nearest: (count desc, summed distance asc,
+    // domain asc). Domains are small dense indices, so a sorted Vec
+    // keyed by domain keeps this hash-free.
+    let mut tally: Vec<(u32, u32, u64)> = Vec::with_capacity(k); // (domain, votes, dist_sum)
+    for &(dist, domain, _) in &ranked {
+        match tally.iter_mut().find(|t| t.0 == domain) {
+            Some(t) => {
+                t.1 += 1;
+                t.2 += u64::from(dist);
+            }
+            None => tally.push((domain, 1, u64::from(dist))),
+        }
+    }
+    tally
+        .into_iter()
+        .min_by_key(|&(domain, votes, dist_sum)| (std::cmp::Reverse(votes), dist_sum, domain))
+        .map(|(domain, _, _)| domain)
+}
+
+/// `(U D)^t`: `t` constant-rate ticks, one upstream and one downstream
+/// cell each.
+fn up_down(t: usize) -> Vec<u16> {
+    [0x8000 | 9, 9].repeat(t)
+}
+
+/// One edit applied at `pos` (taken modulo the length): 0 inserts `sym`,
+/// 1 deletes, 2 substitutes `sym`, 3 transposes two neighbours.
+fn apply_edits(mut s: Vec<u16>, edits: &[(u8, usize, u16)]) -> Vec<u16> {
+    for &(op, pos, sym) in edits {
+        let len = s.len();
+        match op {
+            0 => s.insert(pos % (len + 1), sym),
+            1 if len > 0 => {
+                s.remove(pos % len);
+            }
+            2 if len > 0 => s[pos % len] = sym,
+            3 if len > 1 => s.swap(pos % (len - 1), pos % (len - 1) + 1),
+            _ => {}
+        }
+    }
+    s
+}
+
+fn arb_edits() -> impl Strategy<Value = Vec<(u8, usize, u16)>> {
+    proptest::collection::vec((0u8..4, any::<usize>(), 0u16..3), 0..5)
+}
+
+/// A string over a 2- or 3-symbol alphabet, so that transpositions and
+/// distance ties are common.
+fn arb_small_alphabet(max_len: usize) -> impl Strategy<Value = Vec<u16>> {
+    (2u16..4, proptest::collection::vec(0u16..3, 0..max_len))
+        .prop_map(|(alphabet, s)| s.into_iter().map(|x| x % alphabet).collect())
+}
+
+/// Unrelated strings, near-identical strings, and long `(U D)^t` runs
+/// with a few edits.
+fn arb_pair() -> impl Strategy<Value = (Vec<u16>, Vec<u16>)> {
+    let unrelated = (arb_small_alphabet(24), arb_small_alphabet(24));
+    let near = (arb_small_alphabet(40), arb_edits())
+        .prop_map(|(a, edits)| (a.clone(), apply_edits(a, &edits)));
+    let runs = (0usize..100, 0usize..100, arb_edits())
+        .prop_map(|(s, t, edits)| (up_down(s), apply_edits(up_down(t), &edits)));
+    prop_oneof![unrelated, near, runs]
+}
+
+/// A training set with repeated symbol strings under other domains,
+/// and query samples: fresh strings and edited copies of training
+/// traces. Strings may be empty.
+#[allow(clippy::type_complexity)]
+fn arb_knn_case() -> impl Strategy<Value = (Vec<LabeledTrace>, Vec<Vec<u16>>)> {
+    let trace = prop_oneof![
+        arb_small_alphabet(16),
+        (0usize..12, arb_edits()).prop_map(|(t, edits)| apply_edits(up_down(t), &edits)),
+    ];
+    let sample = (
+        any::<bool>(),
+        any::<usize>(),
+        arb_small_alphabet(16),
+        arb_edits(),
+    );
+    (
+        proptest::collection::vec((0u32..4, trace), 0..10),
+        proptest::collection::vec((any::<usize>(), 0u32..4), 0..4),
+        proptest::collection::vec(sample, 1..8),
+    )
+        .prop_map(|(traces, repeats, samples)| {
+            let mut train: Vec<LabeledTrace> = traces
+                .into_iter()
+                .map(|(domain, symbols)| LabeledTrace { domain, symbols })
+                .collect();
+            for (pick, domain) in repeats {
+                if !train.is_empty() {
+                    let symbols = train[pick % train.len()].symbols.clone();
+                    train.push(LabeledTrace { domain, symbols });
+                }
+            }
+            let samples = samples
+                .into_iter()
+                .map(|(copy, pick, fresh, edits)| match (copy, train.len()) {
+                    (true, len) if len > 0 => {
+                        apply_edits(train[pick % len].symbols.clone(), &edits)
+                    }
+                    _ => fresh,
+                })
+                .collect();
+            (train, samples)
+        })
 }
 
 proptest! {
@@ -145,5 +298,32 @@ proptest! {
             .map(|t| t.domain)
             .collect();
         prop_assert!(zero_dist.contains(&exact));
+    }
+
+    /// The pruned kernel with no bound is the unpruned DP.
+    #[test]
+    fn sequence_distance_matches_reference(
+        pairs in proptest::collection::vec(arb_pair(), 1..16),
+    ) {
+        for (a, b) in &pairs {
+            prop_assert_eq!(sequence_distance(a, b), reference_distance(a, b));
+            prop_assert_eq!(sequence_distance(b, a), reference_distance(b, a));
+        }
+    }
+
+    /// The pruned search votes exactly like the all-pairs ranking, also
+    /// when k exceeds the training set and on exact duplicates that only
+    /// the (domain, index) tie-break orders.
+    #[test]
+    fn knn_matches_reference((train, samples) in arb_knn_case()) {
+        for sample in &samples {
+            for k in 0..=6 {
+                prop_assert_eq!(
+                    knn_classify(&train, sample, k),
+                    reference_knn(&train, sample, k),
+                    "k = {}, sample {:?}, train {:?}", k, sample, train
+                );
+            }
+        }
     }
 }

@@ -4,7 +4,9 @@ use crate::cert::{Certificate, TrustStore};
 use crate::date::DateStamp;
 use crate::error::{CertError, TlsError};
 use crate::handshake::{ClientHello, HandshakeMsg, ServerHello, TlsCosts};
-use crate::record::{decode_records, encode_records, open, seal, ContentType, Record, SessionKey};
+use crate::record::{
+    decode_records, encode_records, open, seal_record, ContentType, Record, SessionKey,
+};
 use crate::verify::verify_chain;
 use netsim::{Conn, Network, SimDuration};
 use rand::Rng;
@@ -269,14 +271,12 @@ pub struct TlsStream {
 impl TlsStream {
     /// One encrypted request/response exchange.
     pub fn request(&mut self, net: &mut Network, plaintext: &[u8]) -> Result<Vec<u8>, TlsError> {
+        let data = seal_record(self.key, plaintext)?;
         let mut flight = Vec::new();
         if let Some(hello) = self.pending_hello.take() {
             flight.push(hello);
         }
-        flight.push(Record {
-            ctype: ContentType::ApplicationData,
-            payload: seal(self.key, plaintext),
-        });
+        flight.push(data);
         self.conn.charge(self.costs.per_exchange);
         let resp = self.conn.request(net, &encode_records(&flight))?;
         let records = decode_records(&resp)?;

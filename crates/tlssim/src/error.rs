@@ -68,6 +68,8 @@ pub enum TlsError {
     HandshakeFailed(String),
     /// ALPN negotiation failed (no mutually acceptable protocol).
     AlpnMismatch,
+    /// A plaintext of this many bytes does not fit one record.
+    RecordOverflow(usize),
 }
 
 impl fmt::Display for TlsError {
@@ -79,6 +81,7 @@ impl fmt::Display for TlsError {
             TlsError::BadRecordMac => write!(f, "bad record MAC"),
             TlsError::HandshakeFailed(s) => write!(f, "handshake failed: {s}"),
             TlsError::AlpnMismatch => write!(f, "ALPN mismatch"),
+            TlsError::RecordOverflow(len) => write!(f, "{len}-byte plaintext overflows a record"),
         }
     }
 }

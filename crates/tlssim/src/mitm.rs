@@ -18,7 +18,9 @@ use crate::cert::{CaHandle, Certificate, KeyId};
 use crate::client::{TlsClientConfig, TlsConnector, TlsStream};
 use crate::date::DateStamp;
 use crate::handshake::{HandshakeMsg, TlsCosts};
-use crate::record::{decode_records, encode_records, open, seal, ContentType, Record, SessionKey};
+use crate::record::{
+    decode_records, encode_records, open, seal_record, ContentType, Record, SessionKey,
+};
 use crate::server::{answer_client_hello, TlsServerConfig};
 use netsim::{PeerInfo, Service, ServiceCtx, StreamHandler};
 use std::net::Ipv4Addr;
@@ -260,10 +262,10 @@ impl StreamHandler for InterceptHandler {
                         Err(_) => return self.alert("upstream_failed"),
                     };
                     ctx.charge(upstream.take_elapsed());
-                    out.push(Record {
-                        ctype: ContentType::ApplicationData,
-                        payload: seal(key, &response),
-                    });
+                    match seal_record(key, &response) {
+                        Ok(sealed) => out.push(sealed),
+                        Err(_) => return self.alert("record_overflow"),
+                    }
                 }
                 (_, ContentType::Alert) => {
                     self.state = ProxyState::Dead;

@@ -139,6 +139,25 @@ pub fn seal(key: SessionKey, plaintext: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The largest plaintext one sealed record carries: the record length
+/// is a `u16`, and sealing adds the 8-byte tag.
+pub const MAX_PLAINTEXT: usize = u16::MAX as usize - 8;
+
+/// Seal `plaintext` into one application-data record.
+///
+/// Plaintext above [`MAX_PLAINTEXT`] is refused with
+/// [`TlsError::RecordOverflow`], since its length would wrap the
+/// record's length field. Nothing is fragmented across records.
+pub fn seal_record(key: SessionKey, plaintext: &[u8]) -> Result<Record, TlsError> {
+    if plaintext.len() > MAX_PLAINTEXT {
+        return Err(TlsError::RecordOverflow(plaintext.len()));
+    }
+    Ok(Record {
+        ctype: ContentType::ApplicationData,
+        payload: seal(key, plaintext),
+    })
+}
+
 /// Open ciphertext sealed with [`seal`]; fails on key mismatch or
 /// tampering.
 pub fn open(key: SessionKey, ciphertext: &[u8]) -> Result<Vec<u8>, TlsError> {
@@ -184,9 +203,43 @@ mod tests {
 
     #[test]
     fn truncated_record_rejected() {
-        assert!(decode_records(&[22, 0]).is_err());
-        assert!(decode_records(&[22, 0, 5, 1, 2]).is_err());
-        assert!(decode_records(&[99, 0, 0]).is_err());
+        let violation = |s: &str| Err(TlsError::ProtocolViolation(s.into()));
+        assert_eq!(
+            decode_records(&[22, 0]),
+            violation("truncated record header")
+        );
+        assert_eq!(
+            decode_records(&[22, 0, 5, 1, 2]),
+            violation("truncated record body")
+        );
+        assert_eq!(decode_records(&[99, 0, 0]), violation("content type 99"));
+        // A good record followed by a truncated one fails as a whole.
+        assert_eq!(
+            decode_records(&[23, 0, 1, 7, 21, 0]),
+            violation("truncated record header")
+        );
+    }
+
+    #[test]
+    fn largest_record_round_trips() {
+        let key = SessionKey::derive(1, 2, 3);
+        let record = seal_record(key, &[0x5a; MAX_PLAINTEXT]).unwrap();
+        assert_eq!(record.payload.len(), usize::from(u16::MAX));
+        let flight = encode_records(&[record.clone(), record.clone()]);
+        assert_eq!(&flight[1..3], &[0xff, 0xff]);
+        assert_eq!(
+            decode_records(&flight).unwrap(),
+            vec![record.clone(), record]
+        );
+    }
+
+    #[test]
+    fn oversized_plaintext_refused() {
+        let key = SessionKey::derive(1, 2, 3);
+        assert_eq!(
+            seal_record(key, &[0; MAX_PLAINTEXT + 1]),
+            Err(TlsError::RecordOverflow(MAX_PLAINTEXT + 1))
+        );
     }
 
     #[test]

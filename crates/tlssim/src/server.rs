@@ -4,7 +4,9 @@
 
 use crate::cert::{fnv1a, Certificate, KeyId};
 use crate::handshake::{ClientHello, HandshakeMsg, ServerHello};
-use crate::record::{decode_records, encode_records, open, seal, ContentType, Record, SessionKey};
+use crate::record::{
+    decode_records, encode_records, open, seal_record, ContentType, Record, SessionKey,
+};
 use netsim::{PeerInfo, Service, ServiceCtx, StreamHandler};
 use std::sync::Arc;
 
@@ -208,10 +210,17 @@ impl StreamHandler for TlsServerHandler {
                         Ok(plaintext) => {
                             let response = self.inner_handler().on_bytes(ctx, &plaintext);
                             if !response.is_empty() {
-                                out.push(Record {
-                                    ctype: ContentType::ApplicationData,
-                                    payload: seal(key, &response),
-                                });
+                                match seal_record(key, &response) {
+                                    Ok(sealed) => out.push(sealed),
+                                    Err(_) => {
+                                        self.state = HandlerState::Dead;
+                                        out.push(Record {
+                                            ctype: ContentType::Alert,
+                                            payload: HandshakeMsg::Alert("record_overflow".into())
+                                                .encode(),
+                                        });
+                                    }
+                                }
                             }
                         }
                         Err(_) => {

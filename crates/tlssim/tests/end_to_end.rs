@@ -31,6 +31,20 @@ impl Service for UpperService {
     }
 }
 
+/// Answers every request with this many bytes.
+struct FloodService(usize);
+impl Service for FloodService {
+    fn open_stream(&self, _peer: netsim::PeerInfo) -> Box<dyn netsim::StreamHandler> {
+        struct H(usize);
+        impl netsim::StreamHandler for H {
+            fn on_bytes(&mut self, _ctx: &mut netsim::ServiceCtx<'_>, _data: &[u8]) -> Vec<u8> {
+                vec![b'x'; self.0]
+            }
+        }
+        Box::new(H(self.0))
+    }
+}
+
 struct World {
     net: Network,
     client: Ipv4Addr,
@@ -39,6 +53,10 @@ struct World {
 }
 
 fn build_world(seed: u64) -> World {
+    build_world_serving(seed, Arc::new(UpperService))
+}
+
+fn build_world_serving(seed: u64, inner: Arc<dyn Service>) -> World {
     let mut net = Network::new(NetworkConfig::default(), seed);
     let server = ip("203.0.113.10");
     let client = ip("198.51.100.20");
@@ -63,7 +81,7 @@ fn build_world(seed: u64) -> World {
     store.add(ca.authority());
     let tls = TlsServerService::new(
         TlsServerConfig::new(vec![leaf], KeyId(2)).with_alpn(&["dot", "h2"]),
-        Arc::new(UpperService),
+        inner,
     );
     net.bind_tcp(server, 853, Arc::new(tls));
     World {
@@ -87,6 +105,47 @@ fn strict_handshake_and_exchange() {
     assert!(!stream.resumed());
     let resp = stream.request(&mut w.net, b"hello dns").unwrap();
     assert_eq!(resp, b"HELLO DNS");
+}
+
+/// A record's length field is a `u16`. The DoT frame of a 65,535-byte
+/// DNS message is 65,537 bytes, so the client refuses it before sending
+/// rather than wrap its length, and the session stays usable.
+#[test]
+fn oversized_request_is_refused_before_sending() {
+    let mut w = build_world(11);
+    let mut connector =
+        TlsConnector::new(TlsClientConfig::strict(w.store.clone(), NOW()).with_alpn(&["dot"]));
+    let mut stream = connector
+        .connect(&mut w.net, w.client, w.server, 853, Some("dns.example.com"))
+        .unwrap();
+    let round_trips = stream.conn().round_trips();
+    assert_eq!(
+        stream.request(&mut w.net, &[b'q'; 65_537]),
+        Err(TlsError::RecordOverflow(65_537))
+    );
+    assert_eq!(stream.conn().round_trips(), round_trips);
+    // The largest plaintext one record holds still crosses intact.
+    let max = tlssim::record::MAX_PLAINTEXT;
+    assert_eq!(
+        stream.request(&mut w.net, &vec![b'q'; max]).unwrap(),
+        vec![b'Q'; max]
+    );
+}
+
+/// A response too large for one record draws a `record_overflow` alert
+/// instead of a record whose length wrapped.
+#[test]
+fn oversized_response_draws_record_overflow_alert() {
+    let mut w = build_world_serving(12, Arc::new(FloodService(70_000)));
+    let mut connector =
+        TlsConnector::new(TlsClientConfig::strict(w.store.clone(), NOW()).with_alpn(&["dot"]));
+    let mut stream = connector
+        .connect(&mut w.net, w.client, w.server, 853, Some("dns.example.com"))
+        .unwrap();
+    assert_eq!(
+        stream.request(&mut w.net, b"query"),
+        Err(TlsError::HandshakeFailed("record_overflow".into()))
+    );
 }
 
 #[test]

@@ -133,6 +133,26 @@ cp results/priv_a/padding-leakage.json results/privacy.json
 rm -rf results/priv_a results/priv_b
 echo "    padding-leakage byte-stable; artifact archived as results/privacy.json"
 
+echo "==> privacy: paper-scale padding-leakage identical at shards 1 and 8"
+# The same experiment at paper scale (2,400 flows, 160 test traces per
+# policy), where the pruned k-NN search does most of its skipping: the
+# report and its telemetry must not depend on the worker count.
+for shards in 1 8; do
+    dir="target/privacy-paper/shards$shards"
+    rm -rf "$dir" && mkdir -p "$dir"
+    cargo run -q --release -p doe-core --bin repro --offline -- \
+        --paper --shards "$shards" --json "$dir" \
+        --metrics "$dir/metrics.json" padding-leakage >/dev/null
+done
+for f in padding-leakage.json metrics.json; do
+    cmp "target/privacy-paper/shards1/$f" "target/privacy-paper/shards8/$f" || {
+        echo "FAIL: paper-scale padding-leakage $f differs between --shards 1 and 8" >&2
+        exit 1
+    }
+done
+rm -rf target/privacy-paper
+echo "    paper-scale padding-leakage report + telemetry identical across shard counts"
+
 echo "==> doe-lint (determinism contract: token rules + call-graph reachability + effect summaries)"
 # One pass writes the artifacts (v4 report and SARIF, both archived;
 # the v2 call graph, regenerated here and git-ignored); a second pass

@@ -5,6 +5,8 @@
 
 use doe_core::experiments::{run, ALL_EXPERIMENTS};
 use doe_core::{Study, StudyConfig};
+use doe_privacy::{privacy_study_sharded, PrivacyConfig};
+use netsim::{Network, NetworkConfig};
 
 fn study() -> Study {
     Study::new(StudyConfig {
@@ -165,4 +167,30 @@ fn finding_4_shape_usage() {
     assert!(blocks > 0.85 && (0.15..0.40).contains(&traffic));
     // DoT is orders of magnitude below traditional DNS.
     assert!(ds.do53_monthly_estimate / dec > 100.0);
+}
+
+/// The padding-leakage leg at paper scale keeps the per-policy counts
+/// EXPERIMENTS.md reports: one shard, with the seed `Study::privacy`
+/// derives from the default study seed 2019.
+#[test]
+fn padding_leakage_paper_accuracy_is_pinned() {
+    let mut net = Network::new(NetworkConfig::default(), 2019 ^ 0x7061_6464);
+    let cfg = PrivacyConfig::paper();
+    let world = doe_privacy::workload::install(&mut net, cfg.domains);
+    let report = privacy_study_sharded(&mut net, &world, &cfg, 1);
+    let counts: Vec<(&str, u64, u64)> = report
+        .policies
+        .iter()
+        .map(|p| (p.policy, p.correct, p.tested))
+        .collect();
+    assert_eq!(
+        counts,
+        [
+            ("none", 97, 160),
+            ("block", 14, 160),
+            ("random-block", 14, 160),
+            ("adaptive-padding", 14, 160),
+            ("constant-rate", 8, 160),
+        ]
+    );
 }
