@@ -7,11 +7,10 @@
 //! expiry — without real asymmetric crypto.
 
 use crate::date::DateStamp;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Identity of a simulated key pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KeyId(pub u64);
 
 /// FNV-1a, the deterministic digest used for simulated signatures,
@@ -26,7 +25,7 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 }
 
 /// A simulated signature: which key signed, over which digest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Signature {
     /// The signing key.
     pub signer: KeyId,
@@ -35,7 +34,7 @@ pub struct Signature {
 }
 
 /// An X.509-like certificate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
     /// Subject common name (the paper groups DoT providers by this).
     pub subject_cn: String,
@@ -113,7 +112,7 @@ fn name_matches(pattern: &str, host: &str) -> bool {
 }
 
 /// A certificate authority: a named key that can issue certificates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertificateAuthority {
     /// CA common name (e.g. `Let's Encrypt Authority X3`,
     /// `FortiGate CA` for the interception devices of Finding 1.2).
@@ -248,7 +247,7 @@ impl CaHandle {
 
 /// The client-side trust anchor list (Mozilla CA list analog; the paper
 /// verified against the CentOS 7.6 system store).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TrustStore {
     anchors: HashMap<KeyId, String>,
 }

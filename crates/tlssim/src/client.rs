@@ -5,7 +5,8 @@ use crate::date::DateStamp;
 use crate::error::{CertError, TlsError};
 use crate::handshake::{ClientHello, HandshakeMsg, ServerHello, TlsCosts};
 use crate::record::{
-    decode_records, encode_records, open, seal_record, ContentType, Record, SessionKey,
+    decode_records, encode_records, handshake_record, open, seal_record, ContentType, Record,
+    SessionKey,
 };
 use crate::verify::verify_chain;
 use netsim::{Conn, Network, SimDuration};
@@ -139,16 +140,15 @@ impl TlsConnector {
             if let Some(entry) = self.tickets.get(&cache_key) {
                 let client_random: u64 = net.rng().gen();
                 let key = SessionKey::derive_resumed(entry.key, client_random);
-                let hello = Record {
-                    ctype: ContentType::Handshake,
-                    payload: HandshakeMsg::ClientHello(ClientHello {
+                let hello = handshake_record(
+                    HandshakeMsg::ClientHello(ClientHello {
                         sni: sni.map(str::to_string),
                         alpn: self.config.alpn.clone(),
                         client_random,
                         ticket: Some(entry.ticket),
                     })
                     .encode(),
-                };
+                )?;
                 conn.charge(self.config.costs.resumption);
                 return Ok(TlsStream {
                     conn,
@@ -165,17 +165,16 @@ impl TlsConnector {
 
         // Full handshake.
         let client_random: u64 = net.rng().gen();
-        let flight = encode_records(&[Record {
-            ctype: ContentType::Handshake,
-            payload: HandshakeMsg::ClientHello(ClientHello {
+        let hello = handshake_record(
+            HandshakeMsg::ClientHello(ClientHello {
                 sni: sni.map(str::to_string),
                 alpn: self.config.alpn.clone(),
                 client_random,
                 ticket: None,
             })
             .encode(),
-        }]);
-        let resp = conn.request(net, &flight)?;
+        )?;
+        let resp = conn.request(net, &encode_records(&[hello]))?;
         let records = decode_records(&resp)?;
         let sh = parse_server_hello(&records)?;
         if sh.resumed {

@@ -31,6 +31,11 @@ impl DateStamp {
         DateStamp(era * 146_097 + doe - 719_468)
     }
 
+    /// The date `days` days after 1970-01-01 (before it if negative).
+    pub(crate) fn from_days(days: i64) -> Self {
+        DateStamp(days)
+    }
+
     /// Days since 1970-01-01.
     pub fn days(self) -> i64 {
         self.0

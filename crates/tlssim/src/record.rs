@@ -158,6 +158,21 @@ pub fn seal_record(key: SessionKey, plaintext: &[u8]) -> Result<Record, TlsError
     })
 }
 
+/// Wrap an encoded handshake message in one handshake record.
+///
+/// A payload above `u16::MAX` bytes is refused with
+/// [`TlsError::RecordOverflow`], since its length would wrap the
+/// record's length field.
+pub(crate) fn handshake_record(payload: Vec<u8>) -> Result<Record, TlsError> {
+    if payload.len() > usize::from(u16::MAX) {
+        return Err(TlsError::RecordOverflow(payload.len()));
+    }
+    Ok(Record {
+        ctype: ContentType::Handshake,
+        payload,
+    })
+}
+
 /// Open ciphertext sealed with [`seal`]; fails on key mismatch or
 /// tampering.
 pub fn open(key: SessionKey, ciphertext: &[u8]) -> Result<Vec<u8>, TlsError> {

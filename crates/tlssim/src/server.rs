@@ -5,7 +5,8 @@
 use crate::cert::{fnv1a, Certificate, KeyId};
 use crate::handshake::{ClientHello, HandshakeMsg, ServerHello};
 use crate::record::{
-    decode_records, encode_records, open, seal_record, ContentType, Record, SessionKey,
+    decode_records, encode_records, handshake_record, open, seal_record, ContentType, Record,
+    SessionKey,
 };
 use netsim::{PeerInfo, Service, ServiceCtx, StreamHandler};
 use std::sync::Arc;
@@ -59,7 +60,9 @@ pub(crate) fn select_alpn(server: &[String], client: &[String]) -> Result<Option
 }
 
 /// Process a ClientHello server-side: derive the session key and build the
-/// reply flight. Shared by the genuine server and the MITM proxy.
+/// reply flight. Shared by the genuine server and the MITM proxy. A
+/// ServerHello too long for one record is answered with a
+/// `record_overflow` alert.
 pub(crate) fn answer_client_hello(
     config: &TlsServerConfig,
     ch: &ClientHello,
@@ -100,14 +103,13 @@ pub(crate) fn answer_client_hello(
         ticket: Some(key.0 ^ config.ticket_secret),
         resumed,
     };
-    Ok((
-        key,
-        resumed,
-        Record {
-            ctype: ContentType::Handshake,
-            payload: HandshakeMsg::ServerHello(hello).encode(),
-        },
-    ))
+    match handshake_record(HandshakeMsg::ServerHello(hello).encode()) {
+        Ok(reply) => Ok((key, resumed, reply)),
+        Err(_) => Err(Record {
+            ctype: ContentType::Alert,
+            payload: HandshakeMsg::Alert("record_overflow".into()).encode(),
+        }),
+    }
 }
 
 /// A [`Service`] that terminates TLS and hands plaintext to `inner`.

@@ -3,7 +3,6 @@
 use crate::cert::{Certificate, TrustStore};
 use crate::date::DateStamp;
 use crate::error::CertError;
-use serde::{Deserialize, Serialize};
 
 /// Verify a chain as a client would.
 ///
@@ -77,7 +76,7 @@ pub fn verify_chain(
 }
 
 /// The scanner's per-resolver certificate verdict (Figure 4's split).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CertStatus {
     /// Chain verifies against the trust store.
     Valid,

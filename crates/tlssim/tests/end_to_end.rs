@@ -6,6 +6,7 @@ use netsim::{
 };
 use std::net::Ipv4Addr;
 use std::sync::Arc;
+use tlssim::handshake::{ClientHello, HandshakeMsg};
 use tlssim::{
     CaHandle, CertError, DateStamp, InterceptLog, KeyId, TlsClientConfig, TlsConnector, TlsError,
     TlsInterceptService, TlsServerConfig, TlsServerService, TrustStore, VerifyMode,
@@ -146,6 +147,87 @@ fn oversized_response_draws_record_overflow_alert() {
         stream.request(&mut w.net, b"query"),
         Err(TlsError::HandshakeFailed("record_overflow".into()))
     );
+}
+
+/// A handshake record's length field is a `u16` too. A ClientHello
+/// longer than that is refused before it is sent, for the full and the
+/// ticketed hello alike, instead of going out with a wrapped length.
+#[test]
+fn oversized_client_hello_is_refused_before_sending() {
+    let mut w = build_world(13);
+    let mut connector = TlsConnector::new(TlsClientConfig::no_verify(NOW()).with_alpn(&["dot"]));
+    let long_sni = "a".repeat(70_000);
+    let err = connector
+        .connect(&mut w.net, w.client, w.server, 853, Some(&long_sni))
+        .unwrap_err();
+    assert!(
+        matches!(err, TlsError::RecordOverflow(len) if len > 70_000),
+        "{err:?}"
+    );
+
+    // A name that fills the record when the client random has all 20
+    // digits: the full hello fits, and the ticket pushes the resumed
+    // hello past the limit.
+    let fixed = HandshakeMsg::ClientHello(ClientHello {
+        sni: Some(String::new()),
+        alpn: vec!["dot".into()],
+        client_random: u64::MAX,
+        ticket: None,
+    })
+    .encode()
+    .len();
+    let sni = "a".repeat(usize::from(u16::MAX) - fixed);
+    connector
+        .connect(&mut w.net, w.client, w.server, 853, Some(&sni))
+        .unwrap();
+    assert_eq!(connector.cached_sessions(), 1);
+    let err = connector
+        .connect(&mut w.net, w.client, w.server, 853, Some(&sni))
+        .unwrap_err();
+    assert!(
+        matches!(err, TlsError::RecordOverflow(len) if len > usize::from(u16::MAX)),
+        "{err:?}"
+    );
+}
+
+/// A ServerHello whose chain does not fit one record draws a
+/// `record_overflow` alert, from the server and from an interception
+/// device presenting the same chain.
+#[test]
+fn oversized_server_hello_draws_record_overflow_alert() {
+    let mut w = build_world(14);
+    let sans: Vec<String> = (0..3_000)
+        .map(|i| format!("host-{i:04}.example.com"))
+        .collect();
+    let leaf = CaHandle::self_signed("big.example.com", sans, KeyId(30), 1, NOW(), NOW() + 90);
+    let big = TlsServerConfig::new(vec![leaf.clone()], KeyId(30));
+    w.net.bind_tcp(
+        w.server,
+        8853,
+        Arc::new(TlsServerService::new(big, Arc::new(UpperService))),
+    );
+    let proxy_ip = ip("10.88.0.2");
+    w.net
+        .add_host(HostMeta::new(proxy_ip).country("US").asn(64512));
+    let proxy = TlsInterceptService::fixed_cert_proxy(
+        CaHandle::new("FortiGate CA", KeyId(31), NOW(), 3650),
+        KeyId(30),
+        vec![leaf],
+        (w.server, 853),
+        NOW(),
+    );
+    w.net.bind_tcp(proxy_ip, 853, Arc::new(proxy));
+
+    let mut connector = TlsConnector::new(TlsClientConfig::no_verify(NOW()));
+    for (dst, port) in [(w.server, 8853), (proxy_ip, 853)] {
+        assert_eq!(
+            connector
+                .connect(&mut w.net, w.client, dst, port, None)
+                .unwrap_err(),
+            TlsError::HandshakeFailed("record_overflow".into()),
+            "{dst}:{port}"
+        );
+    }
 }
 
 #[test]

@@ -27,6 +27,18 @@ echo "==> dnswire: round trips + pinned errors + pinned bytes + allocations"
 cargo test -q --offline -p dnswire --test properties --test adversarial \
     --test golden_encode --test alloc_counts
 
+echo "==> tlssim: pinned handshake bytes + hostile flights"
+# Handshake payloads are canonical JSON that tlssim's own codec writes
+# and reads. netsim charges transmission time per byte, so the gate pins
+# the exact bytes the encoder writes, captured from the serde encoder it
+# replaced, and checks that each pinned message decodes back. The
+# decoder accepts only those canonical bytes: byte-flipped, inserted,
+# truncated and random flights must either fail with a typed error or
+# decode to a message that re-encodes to the same bytes, and every
+# proper prefix and full records of nesting, quotes, escapes or digits
+# must fail on a 2 MB worker stack.
+cargo test -q --offline -p tlssim --test golden_handshake --test hostile_handshake
+
 echo "==> every experiment: repro all identical at shards 1, 3 and 8"
 # Quick-scale `repro all` on 1, 3 and 8 workers: every artifact, the
 # telemetry snapshot and stdout must be byte-identical however many
