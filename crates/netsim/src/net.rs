@@ -656,8 +656,8 @@ impl Network {
     }
 
     /// Schedule a typed event for `machine` (a dense per-shard index)
-    /// `delay` after the current virtual time. Returns the sequence
-    /// number that breaks ties at equal instants.
+    /// `delay` after the current virtual time. Events at equal instants
+    /// fire in schedule order.
     ///
     /// The delay must be a [`SimDuration`], whose constructors name the
     /// unit:
@@ -684,7 +684,7 @@ impl Network {
     /// let delay = std::time::Duration::from_millis(5);
     /// net.schedule_after(delay, 0, SchedEvent::Timer { token: 0 });
     /// ```
-    pub fn schedule_after(&mut self, delay: SimDuration, machine: u64, event: SchedEvent) -> u64 {
+    pub fn schedule_after(&mut self, delay: SimDuration, machine: u64, event: SchedEvent) {
         let at = self.shard.now + delay;
         self.shard.sched.schedule(at, machine, event)
     }
@@ -708,15 +708,15 @@ impl Network {
     /// let mut net = Network::new(NetworkConfig::default(), 1);
     /// net.schedule_at(500, 0, SchedEvent::Timer { token: 0 });
     /// ```
-    pub fn schedule_at(&mut self, at: SimInstant, machine: u64, event: SchedEvent) -> u64 {
+    pub fn schedule_at(&mut self, at: SimInstant, machine: u64, event: SchedEvent) {
         let at = at.max(self.shard.now);
         self.shard.sched.schedule(at, machine, event)
     }
 
-    /// Pop the next scheduled event in `(instant, seq)` order, advancing
-    /// the virtual clock to its instant and counting it in the
-    /// `sched.event.fired` telemetry series. `None` when the heap is
-    /// drained.
+    /// Pop the next scheduled event in `(instant, schedule order)`
+    /// order, advancing the virtual clock to its instant and counting it
+    /// in the `sched.event.fired` telemetry series. `None` when the heap
+    /// is drained.
     pub fn next_event(&mut self) -> Option<Fired> {
         let fired = self.shard.sched.pop()?;
         if fired.at > self.shard.now {
@@ -732,8 +732,8 @@ impl Network {
         self.shard.sched.len()
     }
 
-    /// This shard's scheduler accounting (peak depth is per-shard and
-    /// layout-dependent; `machine_peak` is shard-invariant).
+    /// This shard's scheduler accounting (`machine_peak` is
+    /// shard-invariant).
     pub fn sched_stats(&self) -> SchedStats {
         self.shard.sched.load_stats()
     }

@@ -132,9 +132,9 @@ impl SimTime {
     }
 }
 
-/// The scheduler's name for a point on the virtual timeline: event heaps
-/// are keyed by `(SimInstant, seq)`. An alias of [`SimTime`] — the two
-/// are the same clock.
+/// The scheduler's name for a point on the virtual timeline: events fire
+/// in `(SimInstant, schedule order)` order. An alias of [`SimTime`] — the
+/// two are the same clock.
 pub type SimInstant = SimTime;
 
 impl Add<SimDuration> for SimTime {

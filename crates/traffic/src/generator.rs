@@ -228,8 +228,9 @@ const PLAN_STREAM: u64 = 0x706c_616e; // "plan"
 /// intensities and the burst assignments; emission then runs event-driven
 /// on a discrete-event [`Scheduler`]: every persistent netblock and every
 /// burst is a machine with its own seeded RNG stream, firing in virtual-day
-/// order off the heap. The heap's `(instant, seq)` total order makes the
-/// emission sequence — and therefore the dataset — deterministic.
+/// order off the heap. The heap's `(instant, schedule order)` total order
+/// makes the emission sequence — and therefore the dataset —
+/// deterministic.
 pub fn generate_dot_traffic(cfg: &DotTrafficConfig) -> TrafficDataset {
     // --- Planning pass -------------------------------------------------
     let mut plan_rng = SmallRng::seed_from_u64(mix_seed(cfg.seed, PLAN_STREAM));

@@ -80,7 +80,21 @@ for series in stage.sweep.probe_us stage.verify.session_us \
 done
 echo "    metrics.json archived, all stages present"
 
-echo "==> scheduler: stub-scale event determinism (shards 1 vs 8)"
+echo "==> scheduler: reference-model order + allocations, stub-scale determinism (shards 1 vs 8)"
+# The radix heap has no sequence number: equal instants fire in schedule
+# order only because every bucket stays a FIFO. The gate checks each pop
+# of interleaved scripts (bursts, zero delays, past instants, 2^40 µs
+# gaps, instants near u64::MAX, drains and refills) and of a 50,000-client
+# stub-shaped run against a binary-heap model of the old (instant, seq)
+# order; that an instant before the last pop is clamped to it; that a
+# warm heap runs a stub-shaped cycle without allocating; and that moving
+# a 262,144-entry bucket stays within 24 B per pending event plus a fixed
+# slack of blocks.
+cargo test -q --offline -p netsim --lib -- \
+    sched::tests::interleaved_ops_match_the_reference_model \
+    sched::tests::stub_shaped_run_matches_the_reference_model \
+    sched::tests::an_instant_before_the_last_pop_fires_at_the_last_pop
+cargo test -q --offline -p netsim --test sched_alloc
 # The event-driven client fleet: the same population run on 1 and 8
 # workers must produce byte-identical reports and telemetry, and the
 # snapshot must carry the per-event-kind scheduler series.
