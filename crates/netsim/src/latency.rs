@@ -122,8 +122,11 @@ impl LatencyModel {
             .unwrap_or(self.default_profile)
     }
 
-    /// The deterministic base RTT between two endpoints, ms, before jitter.
-    pub fn base_rtt_ms(&self, src: Endpoint, dst: Endpoint) -> f64 {
+    /// Resolve the path from `src` to `dst`: its base RTT (plus the
+    /// source country's penalty for `port`, if given), the bottleneck
+    /// endpoint's jitter sigma and its loss probability. A flow resolves
+    /// its path once and samples it per round trip.
+    pub fn path(&self, src: Endpoint, dst: Endpoint, port: Option<u16>) -> Path {
         let transit = if dst.anycast {
             self.anycast_pop_ms[src.region.index()]
         } else if src.anycast {
@@ -133,25 +136,23 @@ impl LatencyModel {
         };
         let ps = self.profile_for(src.country);
         let pd = self.profile_for(dst.country);
-        transit + ps.access_ms + pd.access_ms
+        Path {
+            base_ms: transit
+                + ps.access_ms
+                + pd.access_ms
+                + port.map_or(0.0, |p| self.port_penalty(src.country, p)),
+            jitter_sigma: ps.jitter_sigma.max(pd.jitter_sigma),
+            loss: ps.loss.max(pd.loss),
+        }
     }
 
-    /// Sample one round-trip time for a path.
-    ///
-    /// Jitter is multiplicative lognormal so tails are one-sided (paths get
-    /// slower, not faster-than-light); the bottleneck endpoint's sigma
-    /// applies.
-    pub fn sample_rtt<R: Rng + ?Sized>(
-        &self,
-        src: Endpoint,
-        dst: Endpoint,
-        rng: &mut R,
-    ) -> SimDuration {
-        self.sample_rtt_port(src, dst, None, rng)
+    /// The deterministic base RTT between two endpoints, ms, before jitter.
+    pub fn base_rtt_ms(&self, src: Endpoint, dst: Endpoint) -> f64 {
+        self.path(src, dst, None).base_ms
     }
 
-    /// Like [`LatencyModel::sample_rtt`], adding the source country's
-    /// penalty for the destination port.
+    /// Sample one round-trip time from `src` to `dst`, with the source
+    /// country's penalty for the destination port if given.
     pub fn sample_rtt_port<R: Rng + ?Sized>(
         &self,
         src: Endpoint,
@@ -159,26 +160,44 @@ impl LatencyModel {
         port: Option<u16>,
         rng: &mut R,
     ) -> SimDuration {
-        let base =
-            self.base_rtt_ms(src, dst) + port.map_or(0.0, |p| self.port_penalty(src.country, p));
-        let sigma = self
-            .profile_for(src.country)
-            .jitter_sigma
-            .max(self.profile_for(dst.country).jitter_sigma);
-        let rtt = base * lognormal_factor(sigma, rng);
-        SimDuration::from_millis_f64(rtt)
+        self.path(src, dst, port).sample_rtt(rng)
     }
 
     /// Per-path loss probability (bottleneck endpoint's figure).
     pub fn loss_probability(&self, src: Endpoint, dst: Endpoint) -> f64 {
-        self.profile_for(src.country)
-            .loss
-            .max(self.profile_for(dst.country).loss)
+        self.path(src, dst, None).loss
     }
 
     /// Time to push `bytes` through the path, excluding propagation.
     pub fn transmission(&self, bytes: usize) -> SimDuration {
         SimDuration::from_millis_f64(bytes as f64 / self.bytes_per_ms)
+    }
+}
+
+/// One resolved path ([`LatencyModel::path`]): the figures a round trip
+/// needs, computed once per flow instead of once per sample.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Path {
+    /// Base RTT before jitter, ms, port penalty included.
+    base_ms: f64,
+    /// Multiplicative jitter sigma of the bottleneck endpoint.
+    jitter_sigma: f64,
+    /// Per-exchange loss probability of the bottleneck endpoint.
+    loss: f64,
+}
+
+impl Path {
+    /// Sample one round-trip time.
+    ///
+    /// Jitter is multiplicative lognormal so tails are one-sided (paths
+    /// get slower, not faster-than-light).
+    pub fn sample_rtt<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
+        SimDuration::from_millis_f64(self.base_ms * lognormal_factor(self.jitter_sigma, rng))
+    }
+
+    /// Roll whether one packet exchange is lost and must be retransmitted.
+    pub fn loss_roll<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+        rng.gen_bool(self.loss.clamp(0.0, 1.0))
     }
 }
 
@@ -197,6 +216,7 @@ fn lognormal_factor<R: Rng + ?Sized>(sigma: f64, rng: &mut R) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -259,7 +279,7 @@ mod tests {
         let dst = ep("US", true);
         let base = m.base_rtt_ms(src, dst);
         let mut samples: Vec<f64> = (0..2001)
-            .map(|_| m.sample_rtt(src, dst, &mut rng).as_millis_f64())
+            .map(|_| m.path(src, dst, None).sample_rtt(&mut rng).as_millis_f64())
             .collect();
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = samples[samples.len() / 2];
@@ -276,16 +296,147 @@ mod tests {
         let a: Vec<_> = {
             let mut rng = SmallRng::seed_from_u64(99);
             (0..16)
-                .map(|_| m.sample_rtt(ep("BR", false), ep("US", true), &mut rng))
+                .map(|_| m.sample_rtt_port(ep("BR", false), ep("US", true), None, &mut rng))
                 .collect()
         };
         let b: Vec<_> = {
             let mut rng = SmallRng::seed_from_u64(99);
             (0..16)
-                .map(|_| m.sample_rtt(ep("BR", false), ep("US", true), &mut rng))
+                .map(|_| m.sample_rtt_port(ep("BR", false), ep("US", true), None, &mut rng))
                 .collect()
         };
         assert_eq!(a, b);
+    }
+
+    /// Verbatim copies of the per-sample model that [`Path`] replaced:
+    /// every sample used to look both endpoints' profiles up again.
+    mod per_sample {
+        use super::super::{Endpoint, LatencyModel, LatencyProfile, REGION_RTT_MS};
+        use crate::geo::CountryCode;
+        use crate::time::SimDuration;
+        use rand::Rng;
+
+        fn port_penalty(m: &LatencyModel, country: CountryCode, port: u16) -> f64 {
+            m.port_penalty_ms
+                .get(&(country, port))
+                .copied()
+                .unwrap_or(0.0)
+        }
+
+        fn profile_for(m: &LatencyModel, country: CountryCode) -> LatencyProfile {
+            m.country_profiles
+                .get(&country)
+                .copied()
+                .unwrap_or(m.default_profile)
+        }
+
+        fn base_rtt_ms(m: &LatencyModel, src: Endpoint, dst: Endpoint) -> f64 {
+            let transit = if dst.anycast {
+                m.anycast_pop_ms[src.region.index()]
+            } else if src.anycast {
+                m.anycast_pop_ms[dst.region.index()]
+            } else {
+                REGION_RTT_MS[src.region.index()][dst.region.index()]
+            };
+            let ps = profile_for(m, src.country);
+            let pd = profile_for(m, dst.country);
+            transit + ps.access_ms + pd.access_ms
+        }
+
+        pub fn sample_rtt_port<R: Rng + ?Sized>(
+            m: &LatencyModel,
+            src: Endpoint,
+            dst: Endpoint,
+            port: Option<u16>,
+            rng: &mut R,
+        ) -> SimDuration {
+            let base =
+                base_rtt_ms(m, src, dst) + port.map_or(0.0, |p| port_penalty(m, src.country, p));
+            let sigma = profile_for(m, src.country)
+                .jitter_sigma
+                .max(profile_for(m, dst.country).jitter_sigma);
+            let rtt = base * lognormal_factor(sigma, rng);
+            SimDuration::from_millis_f64(rtt)
+        }
+
+        pub fn loss_probability(m: &LatencyModel, src: Endpoint, dst: Endpoint) -> f64 {
+            profile_for(m, src.country)
+                .loss
+                .max(profile_for(m, dst.country).loss)
+        }
+
+        fn lognormal_factor<R: Rng + ?Sized>(sigma: f64, rng: &mut R) -> f64 {
+            if sigma <= 0.0 {
+                return 1.0;
+            }
+            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = rng.gen_range(0.0..1.0);
+            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            (sigma * z).exp()
+        }
+    }
+
+    const COUNTRIES: [&str; 5] = ["US", "BR", "DE", "ID", "AU"];
+
+    fn arb_endpoint() -> impl Strategy<Value = Endpoint> {
+        (0usize..COUNTRIES.len(), any::<bool>()).prop_map(|(i, anycast)| ep(COUNTRIES[i], anycast))
+    }
+
+    proptest! {
+        #[test]
+        fn path_draws_what_the_per_sample_model_drew(
+            profiles in proptest::collection::vec(
+                (0usize..COUNTRIES.len(), 0u32..60_000, 0u32..1_200, 0u32..1_100),
+                0..6,
+            ),
+            penalties in proptest::collection::vec(
+                (0usize..COUNTRIES.len(), prop_oneof![Just(53u16), Just(853u16), any::<u16>()], 0u32..90_000),
+                0..6,
+            ),
+            flows in proptest::collection::vec(
+                (arb_endpoint(), arb_endpoint(), prop_oneof![Just(None), Just(Some(853u16)), any::<u16>().prop_map(Some)]),
+                1..8,
+            ),
+            ops in proptest::collection::vec(any::<bool>(), 1..12),
+            seed in any::<u64>(),
+        ) {
+            let mut m = LatencyModel::default();
+            for (c, access_milli, sigma_milli, loss_milli) in profiles {
+                m.set_country_profile(
+                    CountryCode::new(COUNTRIES[c]),
+                    LatencyProfile {
+                        access_ms: f64::from(access_milli) / 1000.0,
+                        jitter_sigma: f64::from(sigma_milli) / 1000.0,
+                        // Up to 1.1: a roll clamps the probability to 1.
+                        loss: f64::from(loss_milli) / 1000.0,
+                    },
+                );
+            }
+            for (c, port, extra_milli) in penalties {
+                m.set_port_penalty(CountryCode::new(COUNTRIES[c]), port, f64::from(extra_milli) / 1000.0);
+            }
+            let mut old_rng = SmallRng::seed_from_u64(seed);
+            let mut new_rng = SmallRng::seed_from_u64(seed);
+            for (src, dst, port) in flows {
+                let path = m.path(src, dst, port);
+                for &is_rtt in &ops {
+                    if is_rtt {
+                        let old = per_sample::sample_rtt_port(&m, src, dst, port, &mut old_rng);
+                        prop_assert_eq!(path.sample_rtt(&mut new_rng), old);
+                    } else {
+                        let p = per_sample::loss_probability(&m, src, dst);
+                        let old = old_rng.gen_bool(p.clamp(0.0, 1.0));
+                        prop_assert_eq!(path.loss_roll(&mut new_rng), old);
+                    }
+                }
+                prop_assert_eq!(
+                    m.loss_probability(src, dst),
+                    per_sample::loss_probability(&m, src, dst)
+                );
+            }
+            // Same draws in the same order: the streams end level.
+            prop_assert_eq!(new_rng.gen::<u64>(), old_rng.gen::<u64>());
+        }
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! see exactly the old API; parallel sweeps fork one `Network` value per
 //! worker and merge after join.
 
-use crate::geo::{Asn, CountryCode, GeoDb, Region};
+use crate::geo::{region_of, Asn, CountryCode, GeoDb, Region};
 use crate::host::{HostMeta, PeerInfo};
-use crate::latency::{Endpoint, LatencyModel};
+use crate::latency::{Endpoint, LatencyModel, Path};
 use crate::policy::{PathDecision, PolicySet};
 use crate::sched::{Fired, SchedEvent, SchedStats, Scheduler};
 use crate::service::{DatagramService, Service, ServiceCtx, StreamHandler, MAX_HANDLER_DEPTH};
@@ -28,7 +28,7 @@ use crate::time::{SimDuration, SimInstant, SimTime};
 use crate::trace::{EventKind, EventLog, NetEvent};
 use doe_telemetry::{CounterId, HistogramId, Labels, Registry};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::HashMap;
@@ -271,50 +271,135 @@ impl DataPlane {
         (v - u32::from(band.start) < band.count).then_some(band)
     }
 
+    /// What answers at `ip`: a registered host, else a covering band.
+    fn answerer(&self, ip: Ipv4Addr) -> Answerer<'_> {
+        if let Some(h) = self.hosts.get(&ip) {
+            return Answerer::Host(h);
+        }
+        self.band_of(ip).map_or(Answerer::Nobody, Answerer::Band)
+    }
+
+    /// Attribute `ip`, given what answers there: a host's metadata, a
+    /// band's attribution, else the geo database, else a neutral default.
+    fn site_of(&self, ip: Ipv4Addr, at: Answerer<'_>) -> Site {
+        match at {
+            Answerer::Host(h) => Site {
+                endpoint: h.meta.endpoint(),
+                asn: h.meta.asn,
+            },
+            Answerer::Band(b) => Site::unicast(b.country, b.asn, region_of(b.country)),
+            Answerer::Nobody => match self.geodb.lookup(ip) {
+                Some(info) => Site::unicast(info.country, info.asn, info.region),
+                None => {
+                    let cc = CountryCode::new("US");
+                    Site::unicast(cc, Asn(0), region_of(cc))
+                }
+            },
+        }
+    }
+
+    /// Resolve `ip` once: host, then band, then geo DB, then the default.
+    fn resolve(&self, ip: Ipv4Addr) -> Site {
+        self.site_of(ip, self.answerer(ip))
+    }
+
     /// Country/AS/region attribution for any address: a registered host's
     /// metadata wins, then a covering host band, then the geo database,
     /// then a neutral default.
     pub fn attribution(&self, ip: Ipv4Addr) -> (CountryCode, Asn, Region) {
-        if let Some(h) = self.hosts.get(&ip) {
-            return (h.meta.country, h.meta.asn, h.meta.region);
-        }
-        if let Some(b) = self.band_of(ip) {
-            return (b.country, b.asn, crate::geo::region_of(b.country));
-        }
-        if let Some(info) = self.geodb.lookup(ip) {
-            return (info.country, info.asn, info.region);
-        }
-        let cc = CountryCode::new("US");
-        (cc, Asn(0), crate::geo::region_of(cc))
+        let site = self.resolve(ip);
+        (site.endpoint.country, site.asn, site.endpoint.region)
     }
 
-    fn endpoint_of(&self, ip: Ipv4Addr) -> Endpoint {
-        if let Some(h) = self.hosts.get(&ip) {
-            return h.meta.endpoint();
-        }
-        let (country, _asn, region) = self.attribution(ip);
-        Endpoint {
-            region,
-            country,
-            anycast: false,
-        }
+    /// The latency path between two resolved sites, for `port`.
+    fn path(&self, src: &Site, dst: &Site, port: u16) -> Path {
+        self.cfg
+            .latency
+            .path(src.endpoint, dst.endpoint, Some(port))
     }
 
-    /// Evaluate path policies for a flow, with the simulator invariant that
-    /// a diversion device's own traffic is never diverted back to itself
-    /// (the device *is* the middlebox; it sits behind the diversion point).
+    /// Evaluate path policies for a flow from `src`, resolved as `site`,
+    /// with the simulator invariant that a diversion device's own traffic
+    /// is never diverted back to itself (the device *is* the middlebox;
+    /// it sits behind the diversion point).
     fn decide_path(
+        &self,
+        src: Ipv4Addr,
+        site: &Site,
+        dst: Ipv4Addr,
+        port: u16,
+        is_tcp: bool,
+    ) -> (PathDecision, Option<&str>) {
+        let (country, asn) = (site.endpoint.country, site.asn);
+        match self.policies.evaluate(src, country, asn, dst, port, is_tcp) {
+            (PathDecision::DivertTo(actual), _) if actual == src => (PathDecision::Allow, None),
+            other => other,
+        }
+    }
+
+    /// The outcome and cost of one SYN probe, drawing jitter from `rng`.
+    fn probe(
         &self,
         src: Ipv4Addr,
         dst: Ipv4Addr,
         port: u16,
-        is_tcp: bool,
-    ) -> (PathDecision, Option<String>) {
-        let (country, asn, _region) = self.attribution(src);
-        let (decision, rule) = self.policies.evaluate(src, country, asn, dst, port, is_tcp);
-        match decision {
-            PathDecision::DivertTo(actual) if actual == src => (PathDecision::Allow, None),
-            other => (other, rule.map(str::to_string)),
+        rng: &mut SmallRng,
+    ) -> (ProbeOutcome, SimDuration) {
+        let from = self.resolve(src);
+        let effective = match self.decide_path(src, &from, dst, port, true).0 {
+            PathDecision::Allow => dst,
+            PathDecision::Blackhole => return (ProbeOutcome::Filtered, self.cfg.probe_timeout),
+            PathDecision::Reset => {
+                let rtt = self.path(&from, &self.resolve(dst), port).sample_rtt(rng);
+                return (ProbeOutcome::Closed, rtt);
+            }
+            PathDecision::DivertTo(actual) => actual,
+        };
+        let at = self.answerer(effective);
+        let open = match at {
+            Answerer::Host(entry) => entry.tcp.contains_key(&port),
+            Answerer::Band(band) => band.port == port,
+            Answerer::Nobody => return (ProbeOutcome::Filtered, self.cfg.probe_timeout),
+        };
+        let rtt = self
+            .path(&from, &self.site_of(effective, at), port)
+            .sample_rtt(rng);
+        if open {
+            (ProbeOutcome::Open, rtt)
+        } else {
+            (ProbeOutcome::Closed, rtt)
+        }
+    }
+}
+
+/// What answers at an address.
+#[derive(Clone, Copy)]
+enum Answerer<'a> {
+    /// A registered host; it shadows any band covering its address.
+    Host(&'a HostEntry),
+    /// A host band member.
+    Band(&'a HostBand),
+    /// Nothing: SYNs and datagrams go unanswered.
+    Nobody,
+}
+
+/// An address resolved once per operation: where the latency model
+/// places it, and the AS that path policies match on.
+#[derive(Debug, Clone, Copy)]
+struct Site {
+    endpoint: Endpoint,
+    asn: Asn,
+}
+
+impl Site {
+    fn unicast(country: CountryCode, asn: Asn, region: Region) -> Site {
+        Site {
+            endpoint: Endpoint {
+                region,
+                country,
+                anycast: false,
+            },
+            asn,
         }
     }
 }
@@ -418,6 +503,16 @@ impl ShardCtx {
             ids,
             breakdown: Vec::new(),
             locals: Vec::new(),
+        }
+    }
+
+    /// Accumulate virtual time into the charged-time counter, but only
+    /// for top-level operations: time spent inside a service handler
+    /// already flows into the outer exchange via `ServiceCtx::extra`, so
+    /// charging nested calls would double-count it.
+    fn charge(&mut self, d: SimDuration) {
+        if self.handler_depth == 0 {
+            self.charged += d;
         }
     }
 
@@ -914,35 +1009,10 @@ impl Network {
     }
 
     /// Country/AS/region attribution for any address: a registered host's
-    /// metadata wins, then the geo database, then a neutral default.
+    /// metadata wins, then a covering host band, then the geo database,
+    /// then a neutral default.
     pub fn attribution(&self, ip: Ipv4Addr) -> (CountryCode, Asn, Region) {
         self.plane.attribution(ip)
-    }
-
-    fn sample_rtt(&mut self, src: Ipv4Addr, dst: Ipv4Addr, port: u16) -> SimDuration {
-        let s = self.plane.endpoint_of(src);
-        let d = self.plane.endpoint_of(dst);
-        self.plane
-            .cfg
-            .latency
-            .sample_rtt_port(s, d, Some(port), &mut self.shard.rng)
-    }
-
-    fn loss_roll(&mut self, src: Ipv4Addr, dst: Ipv4Addr) -> bool {
-        let s = self.plane.endpoint_of(src);
-        let d = self.plane.endpoint_of(dst);
-        let p = self.plane.cfg.latency.loss_probability(s, d);
-        self.shard.rng.gen_bool(p.clamp(0.0, 1.0))
-    }
-
-    /// Accumulate virtual time into the charged-time counter, but only
-    /// for top-level operations: time spent inside a service handler
-    /// already flows into the outer exchange via `ServiceCtx::extra`, so
-    /// charging nested calls would double-count it.
-    fn charge(&mut self, d: SimDuration) {
-        if self.shard.handler_depth == 0 {
-            self.shard.charged += d;
-        }
     }
 
     /// Open a TCP connection with the default timeout.
@@ -960,7 +1030,8 @@ impl Network {
     ///
     /// On success the returned [`Conn`] has already been charged one round
     /// trip (SYN / SYN-ACK; the final ACK piggybacks on the first data
-    /// flight).
+    /// flight). The connection keeps the [`Path`] resolved here for every
+    /// later [`Conn::request`].
     pub fn connect_with_timeout(
         &mut self,
         src: Ipv4Addr,
@@ -977,15 +1048,19 @@ impl Network {
                 rule: None,
             });
         }
-        let (decision, rule) = self.plane.decide_path(src, dst, port, true);
+        let plane = &*self.plane;
+        let shard = &mut self.shard;
+        let from = plane.resolve(src);
+        let (decision, rule) = plane.decide_path(src, &from, dst, port, true);
         let (effective, diverted_rule) = match decision {
             PathDecision::Allow => (dst, None),
             PathDecision::Blackhole => {
-                self.shard
+                shard
                     .meter()
-                    .count("net.path.timeout", rule_labels(rule.as_deref()), 1);
-                self.charge(timeout);
-                self.shard.log.record(NetEvent {
+                    .count("net.path.timeout", rule_labels(rule), 1);
+                shard.charge(timeout);
+                let rule = rule.map(str::to_string);
+                shard.log.record(NetEvent {
                     src,
                     dst,
                     port,
@@ -999,12 +1074,13 @@ impl Network {
                 });
             }
             PathDecision::Reset => {
-                let rtt = self.sample_rtt(src, dst, port);
-                self.shard
-                    .meter()
-                    .count("net.path.reset", rule_labels(rule.as_deref()), 1);
-                self.charge(rtt);
-                self.shard.log.record(NetEvent {
+                let rtt = plane
+                    .path(&from, &plane.resolve(dst), port)
+                    .sample_rtt(&mut shard.rng);
+                shard.meter().count("net.path.reset", rule_labels(rule), 1);
+                shard.charge(rtt);
+                let rule = rule.map(str::to_string);
+                shard.log.record(NetEvent {
                     src,
                     dst,
                     port,
@@ -1018,88 +1094,65 @@ impl Network {
                 });
             }
             PathDecision::DivertTo(actual) => {
-                self.shard.log.record(NetEvent {
+                shard.log.record(NetEvent {
                     src,
                     dst,
                     port,
                     elapsed: SimDuration::ZERO,
                     kind: EventKind::Diverted {
                         actual,
-                        rule: rule.clone().unwrap_or_default(),
+                        rule: rule.unwrap_or_default().to_string(),
                     },
                 });
                 (actual, rule)
             }
         };
 
-        let svc = match self.plane.hosts.get(&effective) {
-            None => match self
-                .plane
-                .band_of(effective)
-                .map(|b| (b.port, Arc::clone(&b.service)))
-            {
-                // A band member accepts on its one bound port…
-                Some((band_port, svc)) if band_port == port => svc,
-                // …answers any other port with RST…
-                Some(_) => {
-                    let rtt = self.sample_rtt(src, effective, port);
-                    let id = self.shard.ids.path_refused;
-                    self.shard.meter().inc(id);
-                    self.charge(rtt);
-                    self.shard.log.record(NetEvent {
-                        src,
-                        dst,
-                        port,
-                        elapsed: rtt,
-                        kind: EventKind::TcpReset { rule: None },
-                    });
-                    return Err(ConnectError {
-                        kind: ConnectErrorKind::Refused,
-                        elapsed: rtt,
-                        rule: diverted_rule,
-                    });
-                }
-                // …and a genuinely unrouted address swallows the SYNs.
-                None => {
-                    self.shard
-                        .meter()
-                        .count("net.path.timeout", rule_labels(None), 1);
-                    self.charge(timeout);
-                    self.shard.log.record(NetEvent {
-                        src,
-                        dst,
-                        port,
-                        elapsed: timeout,
-                        kind: EventKind::Timeout { rule: None },
-                    });
-                    return Err(ConnectError {
-                        kind: ConnectErrorKind::Timeout,
-                        elapsed: timeout,
-                        rule: diverted_rule,
-                    });
-                }
-            },
-            Some(entry) => match entry.tcp.get(&port) {
-                None => {
-                    let rtt = self.sample_rtt(src, effective, port);
-                    let id = self.shard.ids.path_refused;
-                    self.shard.meter().inc(id);
-                    self.charge(rtt);
-                    self.shard.log.record(NetEvent {
-                        src,
-                        dst,
-                        port,
-                        elapsed: rtt,
-                        kind: EventKind::TcpReset { rule: None },
-                    });
-                    return Err(ConnectError {
-                        kind: ConnectErrorKind::Refused,
-                        elapsed: rtt,
-                        rule: diverted_rule,
-                    });
-                }
-                Some(svc) => Arc::clone(svc),
-            },
+        let at = plane.answerer(effective);
+        let svc = match at {
+            // A registered host accepts on its bound ports, a band member
+            // on its one port…
+            Answerer::Host(entry) => entry.tcp.get(&port).cloned(),
+            Answerer::Band(band) => (band.port == port).then(|| Arc::clone(&band.service)),
+            // …and a genuinely unrouted address swallows the SYNs.
+            Answerer::Nobody => {
+                shard
+                    .meter()
+                    .count("net.path.timeout", rule_labels(None), 1);
+                shard.charge(timeout);
+                shard.log.record(NetEvent {
+                    src,
+                    dst,
+                    port,
+                    elapsed: timeout,
+                    kind: EventKind::Timeout { rule: None },
+                });
+                return Err(ConnectError {
+                    kind: ConnectErrorKind::Timeout,
+                    elapsed: timeout,
+                    rule: diverted_rule.map(str::to_string),
+                });
+            }
+        };
+        let path = plane.path(&from, &plane.site_of(effective, at), port);
+        let Some(svc) = svc else {
+            // Any other port answers with RST.
+            let rtt = path.sample_rtt(&mut shard.rng);
+            let id = shard.ids.path_refused;
+            shard.meter().inc(id);
+            shard.charge(rtt);
+            shard.log.record(NetEvent {
+                src,
+                dst,
+                port,
+                elapsed: rtt,
+                kind: EventKind::TcpReset { rule: None },
+            });
+            return Err(ConnectError {
+                kind: ConnectErrorKind::Refused,
+                elapsed: rtt,
+                rule: diverted_rule.map(str::to_string),
+            });
         };
 
         let peer = PeerInfo {
@@ -1109,17 +1162,17 @@ impl Network {
             diverted: effective != dst,
         };
         let handler = svc.open_stream(peer);
-        let mut rtt = self.sample_rtt(src, effective, port);
-        if self.loss_roll(src, effective) {
+        let mut rtt = path.sample_rtt(&mut shard.rng);
+        if path.loss_roll(&mut shard.rng) {
             // Lost SYN: one retransmission.
-            rtt += self.sample_rtt(src, effective, port);
-            let id = self.shard.ids.path_retransmit;
-            self.shard.meter().inc(id);
+            rtt += path.sample_rtt(&mut shard.rng);
+            let id = shard.ids.path_retransmit;
+            shard.meter().inc(id);
         }
-        let id = self.shard.ids.tcp_connect_us;
-        self.shard.meter().observe(id, rtt.as_micros());
-        self.charge(rtt);
-        self.shard.log.record(NetEvent {
+        let id = shard.ids.tcp_connect_us;
+        shard.meter().observe(id, rtt.as_micros());
+        shard.charge(rtt);
+        shard.log.record(NetEvent {
             src,
             dst,
             port,
@@ -1131,7 +1184,8 @@ impl Network {
             effective_dst: effective,
             original_dst: dst,
             port,
-            diverted_rule,
+            path,
+            diverted_rule: diverted_rule.map(str::to_string),
             handler,
             elapsed: rtt,
             tx_bytes: 0,
@@ -1154,17 +1208,21 @@ impl Network {
             self.shard.meter().inc(id);
             return Err(UdpError::DepthExceeded);
         }
-        let timeout = timeout.unwrap_or(self.plane.cfg.default_timeout);
-        let (decision, rule) = self.plane.decide_path(src, dst, port, false);
+        let plane = &*self.plane;
+        let shard = &mut self.shard;
+        let timeout = timeout.unwrap_or(plane.cfg.default_timeout);
+        let from = plane.resolve(src);
+        let (decision, rule) = plane.decide_path(src, &from, dst, port, false);
         let effective = match decision {
             PathDecision::Allow => dst,
             PathDecision::Blackhole | PathDecision::Reset => {
                 // UDP has no RST; both read as silence.
-                self.shard
+                shard
                     .meter()
-                    .count("net.path.udp_drop", rule_labels(rule.as_deref()), 1);
-                self.charge(timeout);
-                self.shard.log.record(NetEvent {
+                    .count("net.path.udp_drop", rule_labels(rule), 1);
+                shard.charge(timeout);
+                let rule = rule.map(str::to_string);
+                shard.log.record(NetEvent {
                     src,
                     dst,
                     port,
@@ -1179,12 +1237,14 @@ impl Network {
             PathDecision::DivertTo(actual) => actual,
         };
 
-        if self.loss_roll(src, effective) {
-            self.shard
+        let at = plane.answerer(effective);
+        let path = plane.path(&from, &plane.site_of(effective, at), port);
+        if path.loss_roll(&mut shard.rng) {
+            shard
                 .meter()
                 .count("net.path.udp_drop", rule_labels(Some("loss")), 1);
-            self.charge(timeout);
-            self.shard.log.record(NetEvent {
+            shard.charge(timeout);
+            shard.log.record(NetEvent {
                 src,
                 dst,
                 port,
@@ -1197,27 +1257,28 @@ impl Network {
             });
         }
 
-        let svc = match self.plane.hosts.get(&effective) {
-            None => {
-                self.shard
-                    .meter()
-                    .count("net.path.udp_drop", rule_labels(rule.as_deref()), 1);
-                self.charge(timeout);
-                return Err(UdpError::Timeout {
-                    elapsed: timeout,
-                    rule,
-                });
-            }
-            Some(entry) => match entry.udp.get(&port) {
+        let svc = match at {
+            Answerer::Host(entry) => match entry.udp.get(&port) {
                 None => {
-                    let rtt = self.sample_rtt(src, effective, port);
-                    let id = self.shard.ids.path_udp_unreachable;
-                    self.shard.meter().inc(id);
-                    self.charge(rtt);
+                    let rtt = path.sample_rtt(&mut shard.rng);
+                    let id = shard.ids.path_udp_unreachable;
+                    shard.meter().inc(id);
+                    shard.charge(rtt);
                     return Err(UdpError::Unreachable { elapsed: rtt });
                 }
                 Some(svc) => Arc::clone(svc),
             },
+            // Bands bind TCP only; unrouted addresses answer nothing.
+            Answerer::Band(_) | Answerer::Nobody => {
+                shard
+                    .meter()
+                    .count("net.path.udp_drop", rule_labels(rule), 1);
+                shard.charge(timeout);
+                return Err(UdpError::Timeout {
+                    elapsed: timeout,
+                    rule: rule.map(str::to_string),
+                });
+            }
         };
 
         let peer = PeerInfo {
@@ -1226,7 +1287,7 @@ impl Network {
             original_port: port,
             diverted: effective != dst,
         };
-        let rtt = self.sample_rtt(src, effective, port);
+        let rtt = path.sample_rtt(&mut shard.rng);
         self.shard.handler_depth += 1;
         let mut ctx = ServiceCtx::new(self, effective, 0);
         let reply = svc.on_datagram(&mut ctx, peer, data);
@@ -1249,7 +1310,7 @@ impl Network {
                 self.shard.meter().observe(ids.0, total.as_micros());
                 self.shard.meter().add(ids.1, data.len() as u64);
                 self.shard.meter().add(ids.2, bytes.len() as u64);
-                self.charge(total);
+                self.shard.charge(total);
                 self.shard.log.record(NetEvent {
                     src,
                     dst,
@@ -1269,7 +1330,7 @@ impl Network {
                 self.shard
                     .meter()
                     .count("net.path.udp_drop", rule_labels(Some("no_answer")), 1);
-                self.charge(timeout);
+                self.shard.charge(timeout);
                 Err(UdpError::Timeout {
                     elapsed: timeout,
                     rule: None,
@@ -1288,43 +1349,7 @@ impl Network {
         dst: Ipv4Addr,
         port: u16,
     ) -> (ProbeOutcome, SimDuration) {
-        let (decision, _rule) = self.plane.decide_path(src, dst, port, true);
-        let (outcome, elapsed) = (|| {
-            let effective = match decision {
-                PathDecision::Allow => dst,
-                PathDecision::Blackhole => {
-                    return (ProbeOutcome::Filtered, self.plane.cfg.probe_timeout)
-                }
-                PathDecision::Reset => {
-                    let rtt = self.sample_rtt(src, dst, port);
-                    return (ProbeOutcome::Closed, rtt);
-                }
-                PathDecision::DivertTo(actual) => actual,
-            };
-            match self.plane.hosts.get(&effective) {
-                None => match self.plane.band_of(effective).map(|b| b.port) {
-                    None => (ProbeOutcome::Filtered, self.plane.cfg.probe_timeout),
-                    Some(band_port) => {
-                        let open = band_port == port;
-                        let rtt = self.sample_rtt(src, effective, port);
-                        if open {
-                            (ProbeOutcome::Open, rtt)
-                        } else {
-                            (ProbeOutcome::Closed, rtt)
-                        }
-                    }
-                },
-                Some(entry) => {
-                    let open = entry.tcp.contains_key(&port);
-                    let rtt = self.sample_rtt(src, effective, port);
-                    if open {
-                        (ProbeOutcome::Open, rtt)
-                    } else {
-                        (ProbeOutcome::Closed, rtt)
-                    }
-                }
-            }
-        })();
+        let (outcome, elapsed) = self.plane.probe(src, dst, port, &mut self.shard.rng);
         let sent_id = self.shard.ids.probe_sent;
         self.shard.meter().inc(sent_id);
         let outcome_id = match outcome {
@@ -1333,7 +1358,7 @@ impl Network {
             ProbeOutcome::Filtered => self.shard.ids.probe_filtered,
         };
         self.shard.meter().inc(outcome_id);
-        self.charge(elapsed);
+        self.shard.charge(elapsed);
         self.shard.log.record(NetEvent {
             src,
             dst,
@@ -1345,24 +1370,23 @@ impl Network {
     }
 
     /// Internal: run one request/response flight on an established
-    /// connection. Used by [`Conn::request`].
+    /// connection to `local` over `path`. Used by [`Conn::request`].
     fn exchange(
         &mut self,
-        conn_src: Ipv4Addr,
-        conn_dst: Ipv4Addr,
-        port: u16,
+        path: Path,
+        local: Ipv4Addr,
         handler: &mut Box<dyn StreamHandler>,
         data: &[u8],
     ) -> (Vec<u8>, SimDuration) {
-        let mut rtt = self.sample_rtt(conn_src, conn_dst, port);
-        if self.loss_roll(conn_src, conn_dst) {
+        let mut rtt = path.sample_rtt(&mut self.shard.rng);
+        if path.loss_roll(&mut self.shard.rng) {
             // One retransmission round.
-            rtt += self.sample_rtt(conn_src, conn_dst, port);
+            rtt += path.sample_rtt(&mut self.shard.rng);
             let id = self.shard.ids.path_retransmit;
             self.shard.meter().inc(id);
         }
         self.shard.handler_depth += 1;
-        let mut ctx = ServiceCtx::new(self, conn_dst, 0);
+        let mut ctx = ServiceCtx::new(self, local, 0);
         let resp = handler.on_bytes(&mut ctx, data);
         let extra = ctx.extra();
         self.shard.handler_depth -= 1;
@@ -1375,7 +1399,7 @@ impl Network {
         self.shard.meter().observe(ids.0, total.as_micros());
         self.shard.meter().add(ids.1, data.len() as u64);
         self.shard.meter().add(ids.2, resp.len() as u64);
-        self.charge(total);
+        self.shard.charge(total);
         (resp, total)
     }
 
@@ -1394,6 +1418,8 @@ pub struct Conn {
     effective_dst: Ipv4Addr,
     original_dst: Ipv4Addr,
     port: u16,
+    /// The path resolved at connect; every request samples it.
+    path: Path,
     diverted_rule: Option<String>,
     handler: Box<dyn StreamHandler>,
     elapsed: SimDuration,
@@ -1488,13 +1514,7 @@ impl Conn {
                 rule: None,
             });
         }
-        let (resp, dt) = net.exchange(
-            self.src,
-            self.effective_dst,
-            self.port,
-            &mut self.handler,
-            data,
-        );
+        let (resp, dt) = net.exchange(self.path, self.effective_dst, &mut self.handler, data);
         self.elapsed += dt;
         self.tx_bytes += data.len();
         self.rx_bytes += resp.len();
@@ -1525,6 +1545,7 @@ mod tests {
     use super::*;
     use crate::policy::{DstMatch, PolicyRule, PortMatch, SrcMatch};
     use crate::service::{FnDatagramService, FnStreamService};
+    use rand::Rng;
 
     fn ip(s: &str) -> Ipv4Addr {
         s.parse().unwrap()

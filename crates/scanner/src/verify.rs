@@ -14,7 +14,7 @@ use crate::provider::provider_key;
 use dnswire::view::MessageView;
 use dnswire::{builder, frame_message, Rcode, RecordType, WireError};
 use doe_protocols::dot::DotClient;
-use netsim::telemetry::{Labels, Span};
+use netsim::telemetry::{CounterId, Labels, Registry, Span};
 use netsim::{mix_seed, Network};
 use std::net::Ipv4Addr;
 use tlssim::{classify_chain, CertStatus, Certificate, DateStamp, TlsClientConfig, TrustStore};
@@ -23,14 +23,53 @@ use tlssim::{classify_chain, CertStatus, Certificate, DateStamp, TlsClientConfig
 /// [`DotClient`]'s default).
 const PAD_BLOCK: usize = 128;
 
-/// Stable label value for a verification outcome class.
-fn outcome_class(outcome: &VerifyOutcome) -> &'static str {
+/// A verification outcome's slot in [`VerifyCounters::outcome`] and its
+/// stable label value.
+fn outcome_class(outcome: &VerifyOutcome) -> (usize, &'static str) {
     match outcome {
-        VerifyOutcome::OpenResolver => "open_resolver",
-        VerifyOutcome::AnsweredError(_) => "answered_error",
-        VerifyOutcome::NotDns => "not_dns",
-        VerifyOutcome::NotTls => "not_tls",
-        VerifyOutcome::ConnectFailed => "connect_failed",
+        VerifyOutcome::OpenResolver => (0, "open_resolver"),
+        VerifyOutcome::AnsweredError(_) => (1, "answered_error"),
+        VerifyOutcome::NotDns => (2, "not_dns"),
+        VerifyOutcome::NotTls => (3, "not_tls"),
+        VerifyOutcome::ConnectFailed => (4, "connect_failed"),
+    }
+}
+
+/// A certificate class's slot in [`VerifyCounters::cert`].
+fn cert_slot(class: CertClass) -> usize {
+    match class {
+        CertClass::Valid => 0,
+        CertClass::Expired => 1,
+        CertClass::SelfSigned => 2,
+        CertClass::InvalidChain => 3,
+        CertClass::UntrustedCa => 4,
+    }
+}
+
+/// One shard's handles for the per-candidate verify counters, one per
+/// outcome class and one per certificate class. Each series is registered
+/// the first time its class occurs: the snapshot prints every registered
+/// series, so registering up front would add zero-valued keys.
+#[derive(Default)]
+struct VerifyCounters {
+    outcome: [Option<CounterId>; 5],
+    cert: [Option<CounterId>; 5],
+}
+
+impl VerifyCounters {
+    fn record(&mut self, metrics: &mut Registry, obs: &DotObservation) {
+        let (slot, class) = outcome_class(&obs.outcome);
+        let id = *self.outcome[slot].get_or_insert_with(|| {
+            metrics.counter("stage.verify.outcome", Labels::one("class", class))
+        });
+        metrics.inc(id);
+        if let Some(status) = &obs.cert_status {
+            let class = CertClass::of(status);
+            let id = *self.cert[cert_slot(class)].get_or_insert_with(|| {
+                metrics.counter("stage.verify.cert", Labels::one("status", class.label()))
+            });
+            metrics.inc(id);
+        }
     }
 }
 
@@ -249,6 +288,7 @@ fn verify_shard(
     let session_us = worker
         .metrics_mut()
         .histogram("stage.verify.session_us", Labels::empty());
+    let mut counters = VerifyCounters::default();
     for i in (shard..candidates.len()).step_by(shards) {
         // Per-candidate reseed keyed on the global index, so the session's
         // randomness (and thus the observation) is shard-layout invariant.
@@ -260,18 +300,7 @@ fn verify_shard(
         let elapsed = span.elapsed_us(worker.charged().as_micros());
         let metrics = worker.metrics_mut();
         metrics.observe(session_us, elapsed);
-        metrics.count(
-            "stage.verify.outcome",
-            Labels::one("class", outcome_class(&obs.outcome)),
-            1,
-        );
-        if let Some(status) = &obs.cert_status {
-            metrics.count(
-                "stage.verify.cert",
-                Labels::one("status", CertClass::of(status).label()),
-                1,
-            );
-        }
+        counters.record(metrics, &obs);
         table.push(&obs);
     }
     table
@@ -475,6 +504,29 @@ mod tests {
         assert!(!obs.row(1).is_open_resolver());
         assert!(matches!(obs.row(2).outcome, VerifyOutcome::NotTls));
         assert_eq!(obs.open_resolvers(), 1);
+    }
+
+    #[test]
+    fn snapshot_holds_exactly_the_classes_that_occurred() {
+        let mut f = fixture();
+        run(&mut f, &["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.3"]);
+        let snap = f.net.metrics().snapshot();
+        let verify: Vec<(&str, u64)> = snap
+            .counters
+            .iter()
+            .filter(|(key, _)| key.starts_with("stage.verify."))
+            .map(|(key, &n)| (key.as_str(), n))
+            .collect();
+        assert_eq!(
+            verify,
+            [
+                ("stage.verify.cert{status=self_signed}", 1),
+                ("stage.verify.cert{status=valid}", 1),
+                ("stage.verify.outcome{class=answered_error}", 1),
+                ("stage.verify.outcome{class=not_tls}", 2),
+                ("stage.verify.outcome{class=open_resolver}", 1),
+            ]
+        );
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! Values below [`SUB_BUCKETS`] land in exact unit buckets; above that,
 //! each power-of-two octave is split into [`SUB_BUCKETS`] sub-buckets, so
 //! the relative quantization error is bounded by `1 / SUB_BUCKETS`
-//! (~3.1%). Buckets are stored sparsely in a `BTreeMap`, which makes the
-//! merge a plain per-bucket addition — associative and commutative, the
-//! property the sharded engine's absorb step relies on.
+//! (~3.1%). Bucket counts sit in a vector indexed by bucket, so a sample
+//! costs one increment, and the merge is a plain per-bucket addition —
+//! associative and commutative, the property the sharded engine's absorb
+//! step relies on.
 
 use serde::Serialize;
-use std::collections::BTreeMap;
 
 /// Sub-bucket precision: `log2` of the bucket count per octave.
 pub const SUB_BITS: u32 = 5;
@@ -25,6 +25,12 @@ pub fn bucket_index(value: u64) -> u64 {
     let shift = msb - u64::from(SUB_BITS);
     let sub = (value >> shift) & (SUB_BUCKETS - 1);
     (shift + 1) * SUB_BUCKETS + sub
+}
+
+/// [`bucket_index`] as a vector position. Indices stay below 1,920
+/// (`bucket_index(u64::MAX)` is 1,919), so the conversion never fails.
+fn bucket_slot(value: u64) -> usize {
+    usize::try_from(bucket_index(value)).unwrap_or(usize::MAX)
 }
 
 /// The smallest value mapping to bucket `index` — the representative the
@@ -49,7 +55,10 @@ pub struct Histogram {
     sum: u64,
     min: u64,
     max: u64,
-    buckets: BTreeMap<u64, u64>,
+    /// Sample count per bucket index. The vector grows only to hold a
+    /// non-zero bucket, so its last entry is never zero and two
+    /// histograms with the same counts have the same vector.
+    buckets: Vec<u64>,
 }
 
 impl Histogram {
@@ -68,7 +77,11 @@ impl Histogram {
         }
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
-        *self.buckets.entry(bucket_index(value)).or_insert(0) += 1;
+        let index = bucket_slot(value);
+        if index >= self.buckets.len() {
+            self.buckets.resize(index + 1, 0);
+        }
+        self.buckets[index] += 1;
     }
 
     /// Samples recorded.
@@ -110,8 +123,11 @@ impl Histogram {
         }
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
-        for (&index, &n) in &other.buckets {
-            *self.buckets.entry(index).or_insert(0) += n;
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (mine, &theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
         }
     }
 
@@ -125,20 +141,23 @@ impl Histogram {
         }
         let rank = permille.min(1000).saturating_mul(self.count - 1) / 1000;
         let mut seen = 0u64;
-        for (&index, &n) in &self.buckets {
+        let mut last = 0u64;
+        for (index, &n) in (0u64..).zip(&self.buckets) {
             seen += n;
             if seen > rank {
                 return bucket_floor(index);
             }
+            last = index;
         }
-        bucket_floor(self.buckets.keys().next_back().copied().unwrap_or(0))
+        bucket_floor(last)
     }
 
     /// Sparse `(bucket floor, count)` pairs in ascending value order.
     pub fn bucket_counts(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .map(|(&index, &n)| (bucket_floor(index), n))
+        (0u64..)
+            .zip(&self.buckets)
+            .filter(|&(_, &n)| n > 0)
+            .map(|(index, &n)| (bucket_floor(index), n))
             .collect()
     }
 }

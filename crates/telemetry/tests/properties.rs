@@ -2,8 +2,108 @@
 //! sharded engine leans on (merge associativity/commutativity and
 //! order-independence) plus the histogram's accuracy contract.
 
-use doe_telemetry::{bucket_index, Histogram, Labels, Registry};
+use doe_telemetry::{bucket_floor, bucket_index, Histogram, HistogramSnapshot, Labels, Registry};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// The `BTreeMap`-bucketed histogram that the indexed vector replaced,
+/// verbatim: the reference for counts, quantiles and snapshot bytes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct ReferenceHistogram {
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    buckets: BTreeMap<u64, u64>,
+}
+
+impl ReferenceHistogram {
+    fn observe(&mut self, value: u64) {
+        if self.count == 0 || value < self.min {
+            self.min = value;
+        }
+        if value > self.max {
+            self.max = value;
+        }
+        self.count += 1;
+        self.sum = self.sum.saturating_add(value);
+        *self.buckets.entry(bucket_index(value)).or_insert(0) += 1;
+    }
+
+    fn min(&self) -> u64 {
+        if self.count == 0 {
+            0
+        } else {
+            self.min
+        }
+    }
+
+    fn merge(&mut self, other: &ReferenceHistogram) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 || other.min < self.min {
+            self.min = other.min;
+        }
+        if other.max > self.max {
+            self.max = other.max;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        for (&index, &n) in &other.buckets {
+            *self.buckets.entry(index).or_insert(0) += n;
+        }
+    }
+
+    fn quantile(&self, permille: u64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = permille.min(1000).saturating_mul(self.count - 1) / 1000;
+        let mut seen = 0u64;
+        for (&index, &n) in &self.buckets {
+            seen += n;
+            if seen > rank {
+                return bucket_floor(index);
+            }
+        }
+        bucket_floor(self.buckets.keys().next_back().copied().unwrap_or(0))
+    }
+
+    fn bucket_counts(&self) -> Vec<(u64, u64)> {
+        self.buckets
+            .iter()
+            .map(|(&index, &n)| (bucket_floor(index), n))
+            .collect()
+    }
+
+    fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            count: self.count,
+            sum: self.sum,
+            min: self.min(),
+            max: self.max,
+            p50: self.quantile(500),
+            p90: self.quantile(900),
+            p99: self.quantile(990),
+            buckets: self.bucket_counts(),
+        }
+    }
+}
+
+/// Samples across the whole range: exact unit buckets, latency-like
+/// magnitudes and the top octaves.
+fn arb_samples() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(prop_oneof![0u64..64, 0u64..50_000_000, any::<u64>()], 0..40)
+}
+
+fn both_of(values: &[u64]) -> (Histogram, ReferenceHistogram) {
+    let mut reference = ReferenceHistogram::default();
+    for &v in values {
+        reference.observe(v);
+    }
+    (histogram_of(values), reference)
+}
 
 fn histogram_of(values: &[u64]) -> Histogram {
     let mut h = Histogram::new();
@@ -95,6 +195,37 @@ proptest! {
             exact
         );
         prop_assert!(estimate <= exact, "bucket floor exceeds the exact sample");
+    }
+
+    #[test]
+    fn histogram_matches_the_btreemap_reference(a in arb_samples(), b in arb_samples()) {
+        let (mut h, mut r) = both_of(&a);
+        let (hb, rb) = both_of(&b);
+        h.merge(&hb);
+        r.merge(&rb);
+        prop_assert_eq!(h.count(), r.count);
+        prop_assert_eq!(h.sum(), r.sum);
+        prop_assert_eq!(h.min(), r.min());
+        prop_assert_eq!(h.max(), r.max);
+        for permille in 0..=1000 {
+            prop_assert_eq!(h.quantile(permille), r.quantile(permille), "p{}", permille);
+        }
+        prop_assert_eq!(h.bucket_counts(), r.bucket_counts());
+        prop_assert_eq!(
+            serde_json::to_string(&HistogramSnapshot::of(&h)).unwrap(),
+            serde_json::to_string(&r.snapshot()).unwrap()
+        );
+        // Equality tracks the reference's, whichever side holds the
+        // higher buckets: merging either way round, or observing all the
+        // samples in one histogram, gives equal histograms.
+        let mut swapped = hb.clone();
+        swapped.merge(&histogram_of(&a));
+        let mut all = a.clone();
+        all.extend_from_slice(&b);
+        let (whole, whole_ref) = both_of(&all);
+        prop_assert_eq!(&swapped, &h);
+        prop_assert_eq!(whole == h, whole_ref == r);
+        prop_assert_eq!(histogram_of(&a) == hb, both_of(&a).1 == rb);
     }
 
     #[test]

@@ -30,11 +30,14 @@ impl Tunnel {
     /// Sample the tunnel's contribution to one observed exchange:
     /// one round trip MC→proxy plus one proxy→exit.
     pub fn sample_overhead(&self, net: &mut Network, exit: Ipv4Addr) -> SimDuration {
-        let lat = net.config().latency.clone();
         let mc = endpoint(net, self.measurement_client);
         let sp = endpoint(net, self.super_proxy);
         let ex = endpoint(net, exit);
-        lat.sample_rtt(mc, sp, net.rng()) + lat.sample_rtt(sp, ex, net.rng())
+        let lat = &net.config().latency;
+        let (to_proxy, to_exit) = (lat.path(mc, sp, None), lat.path(sp, ex, None));
+        // The client-to-proxy leg draws first: the RNG order reaches every
+        // reported latency.
+        to_proxy.sample_rtt(net.rng()) + to_exit.sample_rtt(net.rng())
     }
 }
 

@@ -39,6 +39,39 @@ echo "==> tlssim: pinned handshake bytes + hostile flights"
 # must fail on a 2 MB worker stack.
 cargo test -q --offline -p tlssim --test golden_handshake --test hostile_handshake
 
+echo "==> tlssim: pinned record-layer errors + hostile record flights"
+# Every junk reply a sweep epoch verifies goes through `decode_records`.
+# The gate pins the typed error of each malformed shape (truncated header
+# and body, unknown content type, a length past the end, zero-length and
+# many tiny records) and checks that byte-flipped, truncated and random
+# flights either fail with a typed error or re-encode to the same bytes.
+cargo test -q --offline -p tlssim --test hostile_records
+
+echo "==> netsim: policy index + resolved paths against the models they replaced"
+# `PolicySet::evaluate` looks rules up by destination address and source
+# prefix instead of scanning them all: on random rule lists it must return
+# the linear scan's first match. A flow resolves its `Path` once: its RTT
+# samples and loss rolls must be the per-sample model's draws, in the
+# same RNG order.
+cargo test -q --offline -p netsim --lib -- \
+    policy::tests::indexed_evaluate_equals_the_linear_scan \
+    latency::tests::path_draws_what_the_per_sample_model_drew
+
+echo "==> telemetry: indexed histogram buckets + allocation-free updates"
+# Histogram buckets are a vector indexed by bucket: counts, quantiles,
+# bucket lists, equality and snapshot bytes must equal the BTreeMap
+# version's, and a warm counter bump or histogram sample must not
+# allocate (the per-probe contract of DESIGN.md section 6).
+cargo test -q --offline -p doe-telemetry --test properties -- \
+    histogram_matches_the_btreemap_reference
+cargo test -q --offline -p doe-telemetry --test alloc_counts
+
+echo "==> scanner: verify counters register only the classes that occur"
+# Verification counts outcomes through handles registered on first use;
+# a series registered up front would print as a zero in metrics.json.
+cargo test -q --offline -p doe-scanner --lib -- \
+    verify::tests::snapshot_holds_exactly_the_classes_that_occurred
+
 echo "==> every experiment: repro all identical at shards 1, 3 and 8"
 # Quick-scale `repro all` on 1, 3 and 8 workers: every artifact, the
 # telemetry snapshot and stdout must be byte-identical however many
