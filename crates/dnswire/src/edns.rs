@@ -8,13 +8,12 @@
 use crate::error::WireError;
 use crate::name::Name;
 use crate::rr::{RData, RecordClass, RecordType, ResourceRecord};
-use serde::{Deserialize, Serialize};
 
 /// EDNS option code for padding (RFC 7830).
 pub const OPTION_PADDING: u16 = 12;
 
 /// A single EDNS option TLV.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdnsOption {
     /// Option code.
     pub code: u16,
@@ -33,7 +32,7 @@ impl EdnsOption {
 }
 
 /// A decoded OPT pseudo-record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptRecord {
     /// Requestor's maximum UDP payload size.
     pub udp_payload: u16,

@@ -1,11 +1,10 @@
 //! The fixed 12-octet DNS message header (RFC 1035 §4.1.1).
 
 use crate::error::WireError;
-use serde::{Deserialize, Serialize};
 
 /// DNS operation codes. Only `Query` is exercised by the pipeline, but the
 /// full set decodes so hostile scans don't error out on unusual traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Opcode {
     /// Standard query (0).
     Query,
@@ -52,7 +51,7 @@ impl Opcode {
 /// The reachability analysis (§4.2, Table 4) classifies results into
 /// *Correct* / *Incorrect* / *Failed*, where "Incorrect" covers SERVFAIL and
 /// empty answers — so the exact RCODE matters to the pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rcode {
     /// No error (0).
     NoError,
@@ -99,7 +98,7 @@ impl Rcode {
 }
 
 /// The parsed message header: ID, flag bits and section counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Header {
     /// Transaction identifier echoed by responders.
     pub id: u16,

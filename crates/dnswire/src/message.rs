@@ -7,10 +7,9 @@ use crate::header::{Header, Rcode};
 use crate::name::{CompressionTable, Name};
 use crate::rr::{RecordClass, RecordType, ResourceRecord};
 use crate::view::MessageView;
-use serde::{Deserialize, Serialize};
 
 /// One entry of the question section.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Question {
     /// Queried name.
     pub qname: Name,
@@ -41,7 +40,7 @@ impl Question {
 ///
 /// The header's section counts are recomputed on encode, so callers mutate
 /// the `questions`/`answers`/... vectors freely.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Message header (counts are advisory until encode).
     pub header: Header,

@@ -4,13 +4,12 @@
 
 use crate::error::WireError;
 use crate::name::{CompressionTable, Name};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Record types understood by the codec. Unknown types survive decode as
 /// [`RData::Opaque`] so scans of arbitrary services never fail to parse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RecordType {
     /// IPv4 host address.
     A,
@@ -86,7 +85,7 @@ impl fmt::Display for RecordType {
 }
 
 /// Record classes. Practically always `IN`; `Other` preserved for fidelity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordClass {
     /// The Internet.
     In,
@@ -117,7 +116,7 @@ impl RecordClass {
 }
 
 /// SOA RDATA fields (RFC 1035 §3.3.13).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SoaData {
     /// Primary master name server.
     pub mname: Name,
@@ -136,7 +135,7 @@ pub struct SoaData {
 }
 
 /// Decoded RDATA.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RData {
     /// IPv4 address.
     A(Ipv4Addr),
@@ -223,7 +222,7 @@ impl RData {
 }
 
 /// A complete resource record.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ResourceRecord {
     /// Owner name.
     pub name: Name,

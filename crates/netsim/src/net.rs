@@ -254,6 +254,9 @@ pub struct DataPlane {
     hosts: HashMap<Ipv4Addr, HostEntry>,
     /// Host bands sorted by start address; disjoint by construction.
     bands: Vec<HostBand>,
+    /// Each band's region, `region_of(band.country)`, parallel to `bands`:
+    /// computed once per band instead of once per probe.
+    band_regions: Vec<Region>,
     geodb: GeoDb,
     policies: PolicySet,
 }
@@ -261,14 +264,15 @@ pub struct DataPlane {
 impl DataPlane {
     /// The band covering `ip`, if any (hosts shadow bands — callers check
     /// `hosts` first).
-    fn band_of(&self, ip: Ipv4Addr) -> Option<&HostBand> {
+    fn band_of(&self, ip: Ipv4Addr) -> Option<(&HostBand, Region)> {
         if self.bands.is_empty() {
             return None;
         }
         let v = u32::from(ip);
         let k = self.bands.partition_point(|b| u32::from(b.start) <= v);
-        let band = &self.bands[k.checked_sub(1)?];
-        (v - u32::from(band.start) < band.count).then_some(band)
+        let k = k.checked_sub(1)?;
+        let band = &self.bands[k];
+        (v - u32::from(band.start) < band.count).then_some((band, self.band_regions[k]))
     }
 
     /// What answers at `ip`: a registered host, else a covering band.
@@ -276,7 +280,9 @@ impl DataPlane {
         if let Some(h) = self.hosts.get(&ip) {
             return Answerer::Host(h);
         }
-        self.band_of(ip).map_or(Answerer::Nobody, Answerer::Band)
+        self.band_of(ip).map_or(Answerer::Nobody, |(band, region)| {
+            Answerer::Band(band, region)
+        })
     }
 
     /// Attribute `ip`, given what answers there: a host's metadata, a
@@ -287,7 +293,7 @@ impl DataPlane {
                 endpoint: h.meta.endpoint(),
                 asn: h.meta.asn,
             },
-            Answerer::Band(b) => Site::unicast(b.country, b.asn, region_of(b.country)),
+            Answerer::Band(b, region) => Site::unicast(b.country, b.asn, region),
             Answerer::Nobody => match self.geodb.lookup(ip) {
                 Some(info) => Site::unicast(info.country, info.asn, info.region),
                 None => {
@@ -358,7 +364,7 @@ impl DataPlane {
         let at = self.answerer(effective);
         let open = match at {
             Answerer::Host(entry) => entry.tcp.contains_key(&port),
-            Answerer::Band(band) => band.port == port,
+            Answerer::Band(band, _) => band.port == port,
             Answerer::Nobody => return (ProbeOutcome::Filtered, self.cfg.probe_timeout),
         };
         let rtt = self
@@ -377,8 +383,8 @@ impl DataPlane {
 enum Answerer<'a> {
     /// A registered host; it shadows any band covering its address.
     Host(&'a HostEntry),
-    /// A host band member.
-    Band(&'a HostBand),
+    /// A host band member, with the band's region.
+    Band(&'a HostBand, Region),
     /// Nothing: SYNs and datagrams go unanswered.
     Nobody,
 }
@@ -562,6 +568,7 @@ impl Network {
                 cfg,
                 hosts: HashMap::new(),
                 bands: Vec::new(),
+                band_regions: Vec::new(),
                 geodb: GeoDb::new(),
                 policies: PolicySet::new(),
             }),
@@ -926,8 +933,9 @@ impl Network {
                 band.count
             );
         }
-        plane.bands.push(band);
-        plane.bands.sort_by_key(|b| u32::from(b.start));
+        let at = plane.bands.partition_point(|b| u32::from(b.start) < start);
+        plane.band_regions.insert(at, region_of(band.country));
+        plane.bands.insert(at, band);
     }
 
     /// Registered host bands, sorted by start address.
@@ -1113,7 +1121,7 @@ impl Network {
             // A registered host accepts on its bound ports, a band member
             // on its one port…
             Answerer::Host(entry) => entry.tcp.get(&port).cloned(),
-            Answerer::Band(band) => (band.port == port).then(|| Arc::clone(&band.service)),
+            Answerer::Band(band, _) => (band.port == port).then(|| Arc::clone(&band.service)),
             // …and a genuinely unrouted address swallows the SYNs.
             Answerer::Nobody => {
                 shard
@@ -1269,7 +1277,7 @@ impl Network {
                 Some(svc) => Arc::clone(svc),
             },
             // Bands bind TCP only; unrouted addresses answer nothing.
-            Answerer::Band(_) | Answerer::Nobody => {
+            Answerer::Band(..) | Answerer::Nobody => {
                 shard
                     .meter()
                     .count("net.path.udp_drop", rule_labels(rule), 1);
@@ -1913,6 +1921,27 @@ mod tests {
         assert_eq!(country, CountryCode::new("US"));
         assert_eq!(asn, Asn(0));
         assert_eq!(net.band_host_count(), 1 << 18);
+    }
+
+    #[test]
+    fn bands_added_out_of_order_keep_their_regions() {
+        let (mut net, _client) = band_net(36);
+        net.add_host_band(HostBand {
+            start: ip("22.0.0.0"),
+            count: 16,
+            country: CountryCode::new("DE"),
+            asn: Asn(64611),
+            port: 853,
+            service: Arc::new(FnStreamService::new(
+                |_ctx, _peer, _data: &[u8]| Vec::new(),
+                "junk-silent",
+            )),
+        });
+        let starts: Vec<Ipv4Addr> = net.bands().iter().map(|b| b.start).collect();
+        assert_eq!(starts, [ip("22.0.0.0"), ip("23.0.0.0")]);
+        for (addr, region) in [("22.0.0.15", Region::Europe), ("23.0.0.0", Region::Asia)] {
+            assert_eq!(net.plane().attribution(ip(addr)).2, region, "{addr}");
+        }
     }
 
     #[test]

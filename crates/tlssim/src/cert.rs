@@ -16,7 +16,12 @@ pub struct KeyId(pub u64);
 /// FNV-1a, the deterministic digest used for simulated signatures,
 /// session keys and ticket secrets.
 pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_continue(0xcbf2_9ce4_8422_2325, data)
+}
+
+/// Continue an FNV-1a digest `h` over `data`: `fnv1a_continue(fnv1a(a), b)`
+/// is the digest of `a` followed by `b`, without concatenating them.
+pub(crate) fn fnv1a_continue(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
         h ^= b as u64;
         h = h.wrapping_mul(0x1_0000_01b3);

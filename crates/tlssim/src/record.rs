@@ -7,7 +7,7 @@
 //! properties the measurements rely on: a party without the session key
 //! cannot read or forge application data, and tampering is detected.
 
-use crate::cert::fnv1a;
+use crate::cert::{fnv1a, fnv1a_continue};
 use crate::error::TlsError;
 
 /// Record content types (mirroring TLS).
@@ -126,16 +126,22 @@ fn keystream_byte(key: u64, i: usize) -> u8 {
     (x.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32) as u8
 }
 
+/// The 8-byte integrity tag: FNV-1a over the key's big-endian bytes, then
+/// the plaintext, in one pass that copies neither.
+fn tag(key: SessionKey, plaintext: &[u8]) -> [u8; 8] {
+    fnv1a_continue(fnv1a(&key.0.to_be_bytes()), plaintext).to_be_bytes()
+}
+
 /// Seal plaintext: keystream XOR plus an 8-byte integrity tag.
 pub fn seal(key: SessionKey, plaintext: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(plaintext.len() + 8);
-    for (i, &b) in plaintext.iter().enumerate() {
-        out.push(b ^ keystream_byte(key.0, i));
-    }
-    let mut tagged = Vec::with_capacity(plaintext.len() + 8);
-    tagged.extend_from_slice(&key.0.to_be_bytes());
-    tagged.extend_from_slice(plaintext);
-    out.extend_from_slice(&fnv1a(&tagged).to_be_bytes());
+    out.extend(
+        plaintext
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| b ^ keystream_byte(key.0, i)),
+    );
+    out.extend_from_slice(&tag(key, plaintext));
     out
 }
 
@@ -179,16 +185,13 @@ pub fn open(key: SessionKey, ciphertext: &[u8]) -> Result<Vec<u8>, TlsError> {
     if ciphertext.len() < 8 {
         return Err(TlsError::BadRecordMac);
     }
-    let (body, tag) = ciphertext.split_at(ciphertext.len() - 8);
+    let (body, sent_tag) = ciphertext.split_at(ciphertext.len() - 8);
     let plaintext: Vec<u8> = body
         .iter()
         .enumerate()
         .map(|(i, &b)| b ^ keystream_byte(key.0, i))
         .collect();
-    let mut tagged = Vec::with_capacity(plaintext.len() + 8);
-    tagged.extend_from_slice(&key.0.to_be_bytes());
-    tagged.extend_from_slice(&plaintext);
-    if fnv1a(&tagged).to_be_bytes() != tag {
+    if tag(key, &plaintext) != sent_tag {
         return Err(TlsError::BadRecordMac);
     }
     Ok(plaintext)

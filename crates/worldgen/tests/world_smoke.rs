@@ -5,6 +5,8 @@
 use dnswire::{builder, Rcode, RecordType};
 use doe_protocols::dot::DotClient;
 use doe_protocols::{Bootstrap, DohClient, DohMethod, QueryLog};
+use netsim::geo::region_of;
+use std::net::Ipv4Addr;
 use tlssim::{InterceptLog, TlsClientConfig};
 use worldgen::{Affliction, World, WorldConfig};
 
@@ -249,6 +251,27 @@ fn scan_epoch_changes_online_population() {
         .filter(|r| r.country.as_str() == "CN" && r.online_at(cfg.scan_date(9)))
         .count();
     assert!(cn_online <= 45, "CN at May: {cn_online}");
+}
+
+/// Every member of every paper-world host band (the 2.5M junk port-853
+/// hosts) is attributed its band's country, AS and
+/// `region_of(band.country)`, which the data plane computes once per
+/// band; a registered host shadowing a member keeps its own attribution.
+#[test]
+fn paper_world_band_members_get_their_band_region() {
+    let w = World::build(WorldConfig::default());
+    let net = &w.net;
+    assert_eq!(net.bands().len(), 10);
+    assert!(net.band_host_count() >= 2_000_000);
+    for band in net.bands() {
+        let expected = (band.country, band.asn, region_of(band.country));
+        let start = u32::from(band.start);
+        for ip in (start..start + band.count).map(Ipv4Addr::from) {
+            if !net.has_host(ip) {
+                assert_eq!(net.attribution(ip), expected, "{ip}");
+            }
+        }
+    }
 }
 
 #[test]
