@@ -51,6 +51,14 @@ pub enum HttpError {
         /// Bytes present.
         found: usize,
     },
+    /// Two `Content-Length` headers with different values, which leave
+    /// the body's end undecidable (RFC 9112 §6.3).
+    ConflictingLength {
+        /// The first value given.
+        first: usize,
+        /// The first later value that differs from it.
+        second: usize,
+    },
     /// Message is not valid UTF-8 in its head section.
     BadEncoding,
     /// No blank line terminating the header block.
@@ -64,6 +72,9 @@ impl fmt::Display for HttpError {
             HttpError::BadHeader(l) => write!(f, "bad header {l:?}"),
             HttpError::TruncatedBody { expected, found } => {
                 write!(f, "body truncated: {found}/{expected} bytes")
+            }
+            HttpError::ConflictingLength { first, second } => {
+                write!(f, "conflicting Content-Length: {first} and {second}")
             }
             HttpError::BadEncoding => write!(f, "head is not UTF-8"),
             HttpError::MissingHeaderTerminator => write!(f, "missing CRLFCRLF"),
@@ -101,22 +112,35 @@ fn header_get<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str
         .map(|(_, v)| v.as_str())
 }
 
+/// The body a message's `Content-Length` declares, or all of `body` when
+/// it gives none. Every `Content-Length` must parse, and a repeat must
+/// give the same value: differing ones are a framing error (RFC 9112 §6.3).
 fn body_with_length(headers: &[(String, String)], body: &[u8]) -> Result<Vec<u8>, HttpError> {
-    match header_get(headers, "content-length") {
-        Some(len_str) => {
-            let expected: usize = len_str
-                .parse()
-                .map_err(|_| HttpError::BadHeader(format!("Content-Length: {len_str}")))?;
-            if body.len() < expected {
-                return Err(HttpError::TruncatedBody {
-                    expected,
-                    found: body.len(),
-                });
+    let mut declared = None;
+    for (_, len_str) in headers
+        .iter()
+        .filter(|(n, _)| n.eq_ignore_ascii_case("content-length"))
+    {
+        let len: usize = len_str
+            .parse()
+            .map_err(|_| HttpError::BadHeader(format!("Content-Length: {len_str}")))?;
+        match declared {
+            Some(first) if first != len => {
+                return Err(HttpError::ConflictingLength { first, second: len })
             }
-            Ok(body[..expected].to_vec())
+            _ => declared = Some(len),
         }
-        None => Ok(body.to_vec()),
     }
+    let Some(expected) = declared else {
+        return Ok(body.to_vec());
+    };
+    if body.len() < expected {
+        return Err(HttpError::TruncatedBody {
+            expected,
+            found: body.len(),
+        });
+    }
+    Ok(body[..expected].to_vec())
 }
 
 /// An HTTP request.
@@ -402,6 +426,28 @@ mod tests {
         assert!(Request::decode(b"GET\r\n\r\n").is_err());
         assert!(Response::decode(b"HTTP/1.1 abc\r\n\r\n").is_err());
         assert!(Request::decode(b"GET / HTTP/1.1\r\nbadheader\r\n\r\n").is_err());
+    }
+
+    #[test]
+    fn a_repeated_content_length_must_agree() {
+        let head = |first: &str, second: &str| {
+            format!(
+                "POST /x HTTP/1.1\r\nContent-Length: {first}\r\n\
+                 Content-Length: {second}\r\n\r\nabcdef"
+            )
+        };
+        let same = Request::decode(head("4", "04").as_bytes()).unwrap();
+        assert_eq!(same.body, b"abcd");
+        for (first, second) in [(4, 6), (6, 4)] {
+            assert_eq!(
+                Request::decode(head(&first.to_string(), &second.to_string()).as_bytes()),
+                Err(HttpError::ConflictingLength { first, second })
+            );
+        }
+        assert_eq!(
+            Request::decode(head("4", "four").as_bytes()),
+            Err(HttpError::BadHeader("Content-Length: four".into()))
+        );
     }
 
     #[test]
