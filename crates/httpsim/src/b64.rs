@@ -34,7 +34,10 @@ fn decode_char(c: u8) -> Option<u32> {
     }
 }
 
-/// Decode unpadded base64url; `None` on any invalid character or length.
+/// Decode unpadded base64url; `None` on any invalid character or length,
+/// or when the last character sets bits no output byte uses. So the
+/// decoding is canonical: `base64url_decode(s) == Some(b)` implies
+/// `base64url_encode(&b) == s`.
 pub fn base64url_decode(s: &str) -> Option<Vec<u8>> {
     let bytes = s.as_bytes();
     if bytes.len() % 4 == 1 {
@@ -45,6 +48,11 @@ pub fn base64url_decode(s: &str) -> Option<Vec<u8>> {
         let mut acc: u32 = 0;
         for (i, &c) in chunk.iter().enumerate() {
             acc |= decode_char(c)? << (18 - 6 * i);
+        }
+        // A chunk of n characters carries n - 1 bytes in the top
+        // 8(n - 1) of its 24 bits; the bits below them must be zero.
+        if acc & (0xff_ffff >> (8 * (chunk.len() - 1))) != 0 {
+            return None;
         }
         out.push((acc >> 16) as u8);
         if chunk.len() > 2 {
@@ -98,5 +106,23 @@ mod tests {
         assert!(base64url_decode("a").is_none(), "length 1 mod 4");
         assert!(base64url_decode("ab c").is_none(), "space rejected");
         assert!(base64url_decode("ab+c").is_none(), "plus rejected");
+    }
+
+    #[test]
+    fn unused_bits_must_be_zero() {
+        assert_eq!(base64url_decode("Zg"), Some(b"f".to_vec()));
+        assert_eq!(base64url_decode("Zh"), None, "4 unused bits set");
+        assert_eq!(base64url_decode("Zm8"), Some(b"fo".to_vec()));
+        assert_eq!(base64url_decode("Zm9"), None, "2 unused bits set");
+        assert_eq!(
+            base64url_decode("Zm9vZ_"),
+            None,
+            "last chunk of a longer input"
+        );
+        assert_eq!(
+            base64url_decode("Zm9v"),
+            Some(b"foo".to_vec()),
+            "no unused bits"
+        );
     }
 }

@@ -5,11 +5,10 @@
 //! (bootstrapped) before DoH can be used — the property Section 5.3 of the
 //! paper exploits to estimate DoH usage from passive DNS.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A parsed absolute URL (scheme, host, port, path, query).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Url {
     /// `http` or `https`.
     pub scheme: String,
@@ -25,34 +24,47 @@ pub struct Url {
 
 impl Url {
     /// Parse an absolute URL. Returns `None` for anything unusable.
+    ///
+    /// The authority ends at the first `/`, `?` or `#` (RFC 3986 §3.2)
+    /// and is a host with an optional port: userinfo is refused, and so
+    /// is a `:` in the host outside an IP literal's `[...]`. A fragment or
+    /// a template brace anywhere is refused too. Whatever parses displays
+    /// as text that parses back to the same value.
     pub fn parse(s: &str) -> Option<Url> {
         let (scheme, rest) = s.split_once("://")?;
         if scheme != "http" && scheme != "https" {
             return None;
         }
-        let (authority, path_query) = match rest.find('/') {
-            Some(i) => (&rest[..i], &rest[i..]),
-            None => (rest, "/"),
-        };
-        if authority.is_empty() {
+        if rest.contains(['#', '{', '}']) {
             return None;
         }
-        let (host, port) = match authority.rsplit_once(':') {
-            Some((h, p)) => (h, p.parse::<u16>().ok()?),
-            None => (authority, if scheme == "https" { 443 } else { 80 }),
+        let (authority, path_query) = rest.split_at(rest.find(['/', '?']).unwrap_or(rest.len()));
+        if authority.contains('@') {
+            return None;
+        }
+        let host_end = if authority.starts_with('[') {
+            authority.find(']')? + 1
+        } else {
+            authority.find(':').unwrap_or(authority.len())
         };
+        let (host, port) = authority.split_at(host_end);
         if host.is_empty() {
             return None;
         }
+        let port = match port.strip_prefix(':') {
+            Some(p) => p.parse::<u16>().ok()?,
+            None if port.is_empty() => default_port(scheme),
+            None => return None,
+        };
         let (path, query) = match path_query.split_once('?') {
-            Some((p, q)) => (p.to_string(), Some(q.to_string())),
-            None => (path_query.to_string(), None),
+            Some((p, q)) => (p, Some(q.to_string())),
+            None => (path_query, None),
         };
         Some(Url {
             scheme: scheme.to_string(),
             host: host.to_ascii_lowercase(),
             port,
-            path,
+            path: if path.is_empty() { "/" } else { path }.to_string(),
             query,
         })
     }
@@ -66,11 +78,19 @@ impl Url {
     }
 }
 
+/// The port a scheme implies when the authority names none.
+fn default_port(scheme: &str) -> u16 {
+    if scheme == "https" {
+        443
+    } else {
+        80
+    }
+}
+
 impl fmt::Display for Url {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let default_port = if self.scheme == "https" { 443 } else { 80 };
         write!(f, "{}://{}", self.scheme, self.host)?;
-        if self.port != default_port {
+        if self.port != default_port(&self.scheme) {
             write!(f, ":{}", self.port)?;
         }
         write!(f, "{}", self.path)?;
@@ -86,7 +106,7 @@ impl fmt::Display for Url {
 /// Only the RFC 8484 level of templating is supported — the single
 /// form-style query continuation used by every resolver in the study's
 /// public lists.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct UriTemplate {
     base: Url,
     has_dns_var: bool,
@@ -94,6 +114,8 @@ pub struct UriTemplate {
 
 impl UriTemplate {
     /// Parse a template like `https://dns.example.com/dns-query{?dns}`.
+    /// The base is parsed by [`Url::parse`], so a brace other than the
+    /// trailing `{?dns}` is refused.
     pub fn parse(s: &str) -> Option<UriTemplate> {
         let (stripped, has_dns_var) = match s.strip_suffix("{?dns}") {
             Some(prefix) => (prefix, true),
@@ -178,11 +200,61 @@ mod tests {
     }
 
     #[test]
+    fn authority_ends_at_the_query() {
+        let url = |host: &str, path: &str, query: &str| Url {
+            scheme: "https".to_string(),
+            host: host.to_string(),
+            port: 443,
+            path: path.to_string(),
+            query: Some(query.to_string()),
+        };
+        for (input, expect) in [
+            (
+                "https://blog.example?next=/dns-query",
+                url("blog.example", "/", "next=/dns-query"),
+            ),
+            (
+                "https://dns.example?dns=AAAA",
+                url("dns.example", "/", "dns=AAAA"),
+            ),
+            (
+                "https://dns.example/q?a=/b?c",
+                url("dns.example", "/q", "a=/b?c"),
+            ),
+        ] {
+            assert_eq!(Url::parse(input), Some(expect), "{input}");
+        }
+    }
+
+    #[test]
+    fn ip_literal_hosts_keep_their_colons() {
+        let u = Url::parse("https://[2001:DB8::1]:8443/dns-query").unwrap();
+        assert_eq!((u.host.as_str(), u.port), ("[2001:db8::1]", 8443));
+        let u = Url::parse("https://[::1]/").unwrap();
+        assert_eq!((u.host.as_str(), u.port), ("[::1]", 443));
+    }
+
+    #[test]
     fn bad_urls_rejected() {
-        assert!(Url::parse("ftp://x/").is_none());
-        assert!(Url::parse("https://").is_none());
-        assert!(Url::parse("no scheme").is_none());
-        assert!(Url::parse("https://host:notaport/").is_none());
+        for input in [
+            "ftp://x/",
+            "https://",
+            "no scheme",
+            "https://host:notaport/",
+            "https://user@host/",
+            "https://a:1:2/",
+            "https://:443/",
+            "https://x/dns-query#frag",
+            "https://x#frag",
+            "https://x/{?dns}/y",
+            "https://x/dns-query{?dns}",
+            "https://x/}",
+            "https://[::1/",
+            "https://[::1]x/",
+            "https://[::1]:/",
+        ] {
+            assert_eq!(Url::parse(input), None, "{input}");
+        }
     }
 
     #[test]
@@ -204,6 +276,21 @@ mod tests {
     #[test]
     fn template_with_query_plus_var_rejected() {
         assert!(UriTemplate::parse("https://x.example/q?a=1{?dns}").is_none());
+    }
+
+    #[test]
+    fn braces_other_than_the_trailing_var_rejected() {
+        for input in [
+            "https://x/{?dns}/y",
+            "https://x/{?dns}{?dns}",
+            "https://x/{dns}",
+            "https://x{?dns}/dns-query",
+            "https://user@x/dns-query{?dns}",
+        ] {
+            assert_eq!(UriTemplate::parse(input), None, "{input}");
+        }
+        let t = UriTemplate::parse("https://dns.example{?dns}").unwrap();
+        assert_eq!((t.host(), t.path()), ("dns.example", "/"));
     }
 
     #[test]

@@ -56,11 +56,6 @@ pub struct FnNode {
     /// resolution drop same-name candidates whose signature cannot
     /// match the call site.
     pub arity: usize,
-    /// True when the function carries an explicit recursion bound (D014).
-    pub recursion_guard: bool,
-    /// True when the function mentions `Instant`/`SystemTime` — the
-    /// wall-clock bit of its effect summary.
-    pub wall_clock: bool,
 }
 
 impl FnNode {
@@ -85,12 +80,6 @@ pub struct Edge {
     pub to: usize,
     /// 1-based call-site line (in the caller's file).
     pub line: u32,
-    /// True when resolution pinned a unique target: a path anchored in a
-    /// concrete module, or a `self.` receiver narrowed to exactly one
-    /// method. Broad method fan-out and suffix fallback are inexact —
-    /// the cycle-sensitive recursion pass (D014) runs on exact edges
-    /// only, so name collisions cannot fabricate cycles.
-    pub exact: bool,
 }
 
 /// The whole-workspace call graph.
@@ -99,11 +88,10 @@ pub struct CallGraph {
     /// Nodes, in (file, line) order — index-stable across runs.
     pub nodes: Vec<FnNode>,
     /// Edges, sorted by (from, to), deduplicated to one edge per pair
-    /// (preferring an exact resolution over an inexact one).
+    /// (the earliest call site).
     pub edges: Vec<Edge>,
-    /// Adjacency: `adj[from]` lists `(to, call line, exact)` in sorted
-    /// order.
-    pub adj: Vec<Vec<(usize, u32, bool)>>,
+    /// Adjacency: `adj[from]` lists the callees in sorted order.
+    pub adj: Vec<Vec<usize>>,
 }
 
 /// Build the graph from every file's parsed items.
@@ -138,8 +126,6 @@ pub fn build(sources: &[SourceItems]) -> CallGraph {
                 line: f.line,
                 hazards: f.hazards.clone(),
                 arity: f.arity,
-                recursion_guard: f.recursion_guard,
-                wall_clock: f.wall_clock,
             });
             calls.push(f.calls.clone());
         }
@@ -179,24 +165,22 @@ pub fn build(sources: &[SourceItems]) -> CallGraph {
     let mut edges: Vec<Edge> = Vec::new();
     for (from, node_calls) in calls.iter().enumerate() {
         for call in node_calls {
-            for (to, exact) in ctx.resolve(&nodes[from], call) {
+            for to in ctx.resolve(&nodes[from], call) {
                 edges.push(Edge {
                     from,
                     to,
                     line: call.line,
-                    exact,
                 });
             }
         }
     }
-    // One edge per (from, to): an exact resolution beats an inexact one,
-    // then the earliest call site wins.
-    edges.sort_by_key(|e| (e.from, e.to, !e.exact, e.line));
+    // One edge per (from, to): the earliest call site wins.
+    edges.sort_by_key(|e| (e.from, e.to, e.line));
     edges.dedup_by_key(|e| (e.from, e.to));
 
-    let mut adj: Vec<Vec<(usize, u32, bool)>> = vec![Vec::new(); nodes.len()];
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
     for e in &edges {
-        adj[e.from].push((e.to, e.line, e.exact));
+        adj[e.from].push(e.to);
     }
 
     CallGraph { nodes, edges, adj }
@@ -213,10 +197,9 @@ struct Resolver<'a> {
 }
 
 impl<'a> Resolver<'a> {
-    /// Resolve one call to `(node index, exact)` pairs. A path hit
-    /// anchored through modules/aliases is exact; the suffix fallback
-    /// and broad method fan-out are not.
-    fn resolve(&self, from: &FnNode, call: &Call) -> Vec<(usize, bool)> {
+    /// Resolve one call to the node indices it may reach: a path
+    /// anchored through modules/aliases, else the suffix fallback.
+    fn resolve(&self, from: &FnNode, call: &Call) -> Vec<usize> {
         if call.method {
             return self.resolve_method(from, call);
         }
@@ -227,15 +210,12 @@ impl<'a> Resolver<'a> {
             &call.path,
             0,
         );
-        let mut exact = true;
         if out.is_empty() {
             out = self.resolve_suffix(&from.crate_name, &call.path);
-            exact = false;
         }
         out.sort_unstable();
         out.dedup();
-        let exact = exact && out.len() == 1;
-        out.into_iter().map(|i| (i, exact)).collect()
+        out
     }
 
     /// `.name(...)`: every workspace method of that name; a literal
@@ -246,16 +226,12 @@ impl<'a> Resolver<'a> {
     /// arity cannot match are dropped — unless that would empty the set
     /// (default arguments don't exist, but macros and `impl Trait`
     /// receivers keep the fallback honest).
-    fn resolve_method(&self, from: &FnNode, call: &Call) -> Vec<(usize, bool)> {
+    fn resolve_method(&self, from: &FnNode, call: &Call) -> Vec<usize> {
         let name = call.path.last().map(String::as_str).unwrap_or("");
         if call.via_self {
             if let Some(owner) = &from.owner {
                 if let Some(own) = self.by_owner.get(&(owner.as_str(), name)) {
-                    let narrowed = self.narrow_arity(own.clone(), call.arity);
-                    // A unique self-method is an exact target; two types
-                    // sharing an owner name keep the edge inexact.
-                    let exact = narrowed.len() == 1;
-                    return narrowed.into_iter().map(|i| (i, exact)).collect();
+                    return self.narrow_arity(own.clone(), call.arity);
                 }
             }
         }
@@ -268,9 +244,6 @@ impl<'a> Resolver<'a> {
         out.sort_unstable();
         out.dedup();
         self.narrow_arity(out, call.arity)
-            .into_iter()
-            .map(|i| (i, false))
-            .collect()
     }
 
     /// Keep candidates whose declared arity matches the call site's
@@ -434,7 +407,7 @@ impl<'a> Resolver<'a> {
 /// Render the graph as deterministic JSON (the `results/callgraph.json`
 /// artifact). Node order is build order; edges are sorted.
 pub fn to_json(g: &CallGraph) -> String {
-    let mut out = String::from("{\n  \"version\": 2,\n  \"nodes\": [");
+    let mut out = String::from("{\n  \"version\": 3,\n  \"nodes\": [");
     for (i, n) in g.nodes.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
         let _ = write!(
@@ -464,14 +437,7 @@ pub fn to_json(g: &CallGraph) -> String {
     out.push_str("\n  ],\n  \"edges\": [");
     for (i, e) in g.edges.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}\n    [{}, {}, {}, {}]",
-            e.from,
-            e.to,
-            e.line,
-            u8::from(e.exact)
-        );
+        let _ = write!(out, "{sep}\n    [{}, {}, {}]", e.from, e.to, e.line);
     }
     let _ = write!(
         out,
@@ -641,39 +607,6 @@ mod tests {
         let edges = edge_names(&g);
         assert!(edges.contains(&("a::go".to_string(), "a::H::observe".to_string())));
         assert!(edges.contains(&("a::go".to_string(), "a::R::observe".to_string())));
-    }
-
-    #[test]
-    fn edge_exactness_tracks_resolution_quality() {
-        let src = r#"
-            struct A;
-            struct B;
-            impl A {
-                fn run(&self) { self.step(); }
-                fn step(&self) {}
-            }
-            impl B {
-                fn step(&self) {}
-                fn kick(&self, a: &A) { a.step(); }
-            }
-            fn free() { helper(); }
-            fn helper() {}
-        "#;
-        let g = build(&[items("a", "a", &[], src)]);
-        let exact_of = |from: &str, to: &str| {
-            g.edges
-                .iter()
-                .find(|e| g.nodes[e.from].qualified() == from && g.nodes[e.to].qualified() == to)
-                .map(|e| e.exact)
-                .unwrap_or_else(|| panic!("no edge {from} -> {to}"))
-        };
-        // self.step() narrowed to the unique A::step: exact.
-        assert!(exact_of("a::A::run", "a::A::step"));
-        // a.step() fans out to every `step`: inexact.
-        assert!(!exact_of("a::B::kick", "a::A::step"));
-        assert!(!exact_of("a::B::kick", "a::B::step"));
-        // A path-resolved free call: exact.
-        assert!(exact_of("a::free", "a::helper"));
     }
 
     #[test]

@@ -31,16 +31,15 @@
 //!   (interprocedural).
 //! * **D012** — no allocation site reachable from the telemetry
 //!   hot-path entry points (interprocedural).
-//! * **D014** — bounded recursion on protocol decode/encode paths:
-//!   every reachable recursion cycle must carry a fuel/depth guard.
 //! * **D015** — shard-identity independence: no shard/worker/thread
-//!   identity value read on a merge path.
+//!   identity value read on a path reachable from the shard-merge entry
+//!   points (interprocedural).
 //!
-//! The interprocedural rules are backed by a bottom-up effect-summary
-//! fixpoint over the call-graph condensation (see [`summary`]): each
-//! function gets a join-semilattice summary (panics, allocates, blocks,
-//! reads-shard-identity, …) propagated callee-to-caller, and findings
-//! carry their summary provenance.
+//! Each interprocedural rule is one breadth-first walk of the call graph
+//! from its `[graph]` roots (see [`reach`]), and each finding carries the
+//! call chain that reaches its hazard site. Bounded work on hostile wire
+//! input is not an analyzer rule: the decoders' own tests feed them deep
+//! and long input on a small worker stack.
 //!
 //! Scope comes from `lint.toml` at the workspace root; per-site escape
 //! hatches are `// doe-lint: allow(D00x) — <reason>` pragmas with a
@@ -57,7 +56,6 @@ pub mod pragma;
 pub mod reach;
 pub mod report;
 pub mod rules;
-pub mod summary;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -88,10 +86,6 @@ pub struct Finding {
     /// For interprocedural rules: the call chain from an entry point to
     /// the hazard site, as `fn (file:line)` hops. Empty for token rules.
     pub chain: Vec<String>,
-    /// For interprocedural rules: which effect-summary bit convicted the
-    /// finding, in which condensation component, over how many frames.
-    /// `None` for token rules.
-    pub summary: Option<reach::SummaryNote>,
 }
 
 /// A finding that a pragma suppressed, kept for the audit trail.
@@ -141,7 +135,6 @@ struct RawHit {
     rule: String,
     message: String,
     chain: Vec<String>,
-    summary: Option<reach::SummaryNote>,
 }
 
 /// Per-file pragma bookkeeping: parse errors, plus each pragma resolved
@@ -177,7 +170,6 @@ fn pragma_slots<'a>(
             message: e.message,
             severity: Severity::Error,
             chain: Vec::new(),
-            summary: None,
         });
     }
     // Resolve each pragma to the line it governs: its own line when code
@@ -228,7 +220,6 @@ fn settle(file: &str, raw: Vec<RawHit>, mut slots: PragmaSlots<'_>) -> FileOutco
                 message: hit.message,
                 severity: Severity::Error,
                 chain: hit.chain,
-                summary: hit.summary,
             }),
         }
     }
@@ -254,7 +245,6 @@ fn settle(file: &str, raw: Vec<RawHit>, mut slots: PragmaSlots<'_>) -> FileOutco
                 .to_string(),
             severity: Severity::Error,
             chain: Vec::new(),
-            summary: None,
         });
     }
     out.findings
@@ -285,7 +275,6 @@ pub fn lint_source(file: &str, src: &str, enabled: &[String]) -> FileOutcome {
             rule: f.rule.to_string(),
             message: f.message,
             chain: Vec::new(),
-            summary: None,
         })
         .collect();
     settle(file, raw, slots)
@@ -466,8 +455,6 @@ pub struct Analysis {
     pub report: Report,
     /// The workspace call graph (for `--graph` / `callgraph.json`).
     pub graph: graph::CallGraph,
-    /// Effect summaries for every function in the graph, at fixpoint.
-    pub summaries: summary::Summaries,
 }
 
 /// Analyze loaded sources: token rules per file, then the call-graph
@@ -510,7 +497,6 @@ pub fn analyze(
                 rule: f.rule.to_string(),
                 message: f.message,
                 chain: Vec::new(),
-                summary: None,
             })
             .collect();
         let module = module_of(&lf.file.rel_path);
@@ -537,8 +523,7 @@ pub fn analyze(
     }
 
     let callgraph = graph::build(&graph_sources);
-    let summaries = summary::compute(&callgraph);
-    let chain_findings = reach::check(&callgraph, &summaries, &policy.graph, &policy.summary)?;
+    let chain_findings = reach::check(&callgraph, &policy.graph)?;
     let mut per_file: BTreeMap<String, Vec<RawHit>> = BTreeMap::new();
     for f in chain_findings {
         per_file.entry(f.file.clone()).or_default().push(RawHit {
@@ -546,7 +531,6 @@ pub fn analyze(
             rule: f.rule.to_string(),
             message: f.message,
             chain: f.chain,
-            summary: f.summary,
         });
     }
 
@@ -578,7 +562,6 @@ pub fn analyze(
     Ok(Analysis {
         report,
         graph: callgraph,
-        summaries,
     })
 }
 

@@ -95,7 +95,8 @@ fn write_out(path: &PathBuf, content: &str) -> Result<(), String> {
     std::fs::write(path, content).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Extract the fingerprints recorded in a v4 baseline report. A plain
+/// Extract the fingerprints recorded in a baseline report (schema v4 or
+/// later: both carry a per-finding `"fingerprint"`). A plain
 /// substring scan — the report is our own deterministic output, and
 /// fingerprints never contain an unescaped `"`.
 fn baseline_fingerprints(text: &str) -> Vec<String> {

@@ -91,13 +91,6 @@ pub struct FnItem {
     /// Declared parameter count, `self` excluded — pairs with
     /// [`Call::arity`] to narrow method-call resolution.
     pub arity: usize,
-    /// True when the function carries an explicit recursion bound: a
-    /// parameter or compared/decremented local whose name mentions
-    /// depth/fuel/budget/limit/remaining/hops/jumps/ttl (D014).
-    pub recursion_guard: bool,
-    /// True when the signature or body mentions `Instant`/`SystemTime` —
-    /// the wall-clock bit of the effect summary.
-    pub wall_clock: bool,
 }
 
 /// One `use` alias: `use a::b::c;` binds `c`, `use a::b as x;` binds `x`.
@@ -192,21 +185,6 @@ const SHARD_IDENT_NAMES: &[&str] = &[
     "thread_id",
     "thread_idx",
 ];
-
-/// Does an identifier read as an explicit recursion/fuel bound (D014)?
-fn guard_name(s: &str) -> bool {
-    const STEMS: &[&str] = &[
-        "depth",
-        "fuel",
-        "budget",
-        "limit",
-        "remaining",
-        "hops",
-        "jumps",
-        "ttl",
-    ];
-    STEMS.iter().any(|g| s.contains(g))
-}
 
 /// Keywords that look like call heads when followed by `(`.
 const NON_CALL_KEYWORDS: &[&str] = &[
@@ -453,8 +431,6 @@ impl<'a> Parser<'a> {
         let mut bracket = 0i32;
         let mut angle = 0i32;
         let mut sig_float = false;
-        let mut sig_guard = false;
-        let mut sig_clock = false;
         let mut commas = 0usize;
         let mut params_empty = true;
         let mut has_self = false;
@@ -495,23 +471,10 @@ impl<'a> Parser<'a> {
                 }
                 TokKind::Punct(':') if paren == 1 && angle <= 0 => before_first_sep = false,
                 TokKind::Ident(s) if s == "f32" || s == "f64" => sig_float = true,
-                TokKind::Ident(s) if s == "Instant" || s == "SystemTime" => sig_clock = true,
                 TokKind::Ident(s)
                     if s == "self" && paren == 1 && !params_done && before_first_sep =>
                 {
                     has_self = true;
-                }
-                // A parameter named like a bound (`depth: usize`,
-                // `fuel: u32`) is an explicit recursion guard: the
-                // caller hands the budget down (D014).
-                TokKind::Ident(s)
-                    if paren == 1
-                        && angle <= 0
-                        && !params_done
-                        && guard_name(s)
-                        && self.toks.get(self.i + 1).is_some_and(|t| t.is_punct(':')) =>
-                {
-                    sig_guard = true;
                 }
                 TokKind::Punct('{') if paren == 0 && bracket == 0 => {
                     let params = if params_empty { 0 } else { commas + 1 };
@@ -525,8 +488,6 @@ impl<'a> Parser<'a> {
                         calls: Vec::new(),
                         hazards: Vec::new(),
                         arity: params.saturating_sub(usize::from(has_self)),
-                        recursion_guard: sig_guard,
-                        wall_clock: sig_clock,
                     };
                     self.out.fns.push(item);
                     self.scopes.push(ScopeKind::Fn(self.out.fns.len() - 1));
@@ -669,16 +630,6 @@ impl<'a> Parser<'a> {
             .checked_sub(1)
             .is_some_and(|p| self.toks[p].is_punct('.'));
 
-        // A bound-named local used in a comparison or arithmetic update
-        // (`depth > MAX`, `fuel -= 1`) is an explicit recursion guard.
-        if guard_name(id) {
-            let adj = |t: Option<&Tok>| {
-                t.is_some_and(|t| matches!(t.kind, TokKind::Punct('>' | '<' | '+' | '-' | '=')))
-            };
-            if adj(self.i.checked_sub(1).map(|p| &self.toks[p])) || adj(self.toks.get(self.i + 1)) {
-                self.out.fns[fn_idx].recursion_guard = true;
-            }
-        }
         // Shard-identity reads (D015): field access (`.shard_id`),
         // getter call (`.shard_id()`) or plain local/parameter use.
         if SHARD_IDENT_NAMES.contains(&id) {
@@ -789,9 +740,6 @@ impl<'a> Parser<'a> {
         self.i = j;
         if path.iter().any(|s| s == "f32" || s == "f64") {
             self.out.fns[fn_idx].mentions_float = true;
-        }
-        if path.iter().any(|s| s == "Instant" || s == "SystemTime") {
-            self.out.fns[fn_idx].wall_clock = true;
         }
         if self.call_follows(j) {
             if path.len() >= 2 {
@@ -1264,26 +1212,6 @@ mod tests {
     }
 
     #[test]
-    fn recursion_guards_are_detected() {
-        let by_param = "fn walk(node: u64, depth: usize) { walk(node, depth + 1); }";
-        let p = parse(by_param);
-        assert!(p.fns[0].recursion_guard);
-
-        let by_local = r#"
-            fn decode(buf: &[u8]) {
-                let mut jumps = 0u32;
-                loop { jumps += 1; if jumps > 64 { break; } }
-            }
-        "#;
-        let p = parse(by_local);
-        assert!(p.fns[0].recursion_guard);
-
-        let unguarded = "fn walk(node: u64) { walk(node); }";
-        let p = parse(unguarded);
-        assert!(!p.fns[0].recursion_guard);
-    }
-
-    #[test]
     fn shard_identity_reads_are_hazards() {
         let src = r#"
             fn merge(&mut self, other: &Self) {
@@ -1301,13 +1229,5 @@ mod tests {
             .hazards
             .iter()
             .any(|h| h.kind == HazardKind::ShardIdent));
-    }
-
-    #[test]
-    fn wall_clock_mentions_are_flagged() {
-        let p = parse("fn t() -> u64 { Instant::now().elapsed().as_micros() as u64 }");
-        assert!(p.fns[0].wall_clock);
-        let p = parse("fn t(sim: SimInstant) -> u64 { sim.micros() }");
-        assert!(!p.fns[0].wall_clock);
     }
 }

@@ -18,8 +18,6 @@ pub struct Policy {
     pub crates: BTreeMap<String, CratePolicy>,
     /// Entry points for the interprocedural rules (`[graph]` section).
     pub graph: GraphPolicy,
-    /// Entry points for the summary-backed rules (`[summary]` section).
-    pub summary: SummaryPolicy,
 }
 
 /// Entry-point sets for the call-graph rules. Each entry is a `::`
@@ -30,7 +28,9 @@ pub struct Policy {
 pub struct GraphPolicy {
     /// D007 roots: the protocol query APIs.
     pub protocol_entries: Vec<String>,
-    /// D008 roots: the shard-merge operations.
+    /// D008 and D015 roots: the shard-merge operations — no float
+    /// accumulation and no shard/worker/thread identity read may be
+    /// reachable.
     pub merge_entries: Vec<String>,
     /// D009 roots: the event-machine step implementations — no blocking
     /// operation may be reachable.
@@ -38,19 +38,6 @@ pub struct GraphPolicy {
     /// D012 roots: the telemetry hot-path entry points — no allocation
     /// site may be reachable.
     pub hot_entries: Vec<String>,
-}
-
-/// Entry-point sets for the effect-summary rules (`[summary]` section).
-/// Same suffix-match and stale-entry semantics as [`GraphPolicy`].
-#[derive(Debug, Clone, Default)]
-pub struct SummaryPolicy {
-    /// D014 roots: the protocol decode/encode entry points — every
-    /// recursion cycle reachable from one must carry an explicit
-    /// fuel/depth guard.
-    pub decode_entries: Vec<String>,
-    /// D015 roots: the shard-merge operations — no shard/worker/thread
-    /// identity value may be read on a path they reach.
-    pub identity_entries: Vec<String>,
 }
 
 /// Policy for one crate.
@@ -109,8 +96,6 @@ impl Policy {
             (["graph"], "merge_entries") => self.graph.merge_entries = value,
             (["graph"], "step_entries") => self.graph.step_entries = value,
             (["graph"], "hot_entries") => self.graph.hot_entries = value,
-            (["summary"], "decode_entries") => self.summary.decode_entries = value,
-            (["summary"], "identity_entries") => self.summary.identity_entries = value,
             (["crates", name], "rules") => {
                 self.crates.entry(name.to_string()).or_default().rules = Some(value);
             }
@@ -231,10 +216,6 @@ mod tests {
         [graph]
         step_entries = ["StubMachine::on_event"]
         hot_entries = ["Registry::add"]
-
-        [summary]
-        decode_entries = ["Message::decode"]
-        identity_entries = ["Network::absorb_shard"]
     "#;
 
     #[test]
@@ -242,13 +223,6 @@ mod tests {
         let p = Policy::parse(SAMPLE).unwrap();
         assert_eq!(p.graph.step_entries, vec!["StubMachine::on_event"]);
         assert_eq!(p.graph.hot_entries, vec!["Registry::add"]);
-    }
-
-    #[test]
-    fn summary_entry_sets_parse() {
-        let p = Policy::parse(SAMPLE).unwrap();
-        assert_eq!(p.summary.decode_entries, vec!["Message::decode"]);
-        assert_eq!(p.summary.identity_entries, vec!["Network::absorb_shard"]);
     }
 
     #[test]
@@ -281,11 +255,12 @@ mod tests {
     fn unknown_entries_are_rejected() {
         assert!(Policy::parse("[nonsense]\nrules = [\"D001\"]\n").is_err());
         assert!(Policy::parse("[default]\nrules = not-an-array\n").is_err());
-        // The retired `[dataflow]` section fails loudly instead of
-        // silently unrooting D009/D012, and so do the retired D006/D013
-        // roots.
+        // The retired `[dataflow]` and `[summary]` sections fail loudly
+        // instead of silently unrooting a rule, and so do the retired
+        // D006/D013 roots.
         assert!(Policy::parse("[dataflow]\nstep_entries = [\"M::on_event\"]\n").is_err());
         assert!(Policy::parse("[graph]\nshard_entries = [\"a::run\"]\n").is_err());
-        assert!(Policy::parse("[summary]\nlock_entries = [\"a::run\"]\n").is_err());
+        assert!(Policy::parse("[summary]\ndecode_entries = [\"a::decode\"]\n").is_err());
+        assert!(Policy::parse("[summary]\nidentity_entries = [\"a::absorb\"]\n").is_err());
     }
 }

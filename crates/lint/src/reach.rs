@@ -14,41 +14,18 @@
 //!   measurement behind it.
 //! * **D012 hot-path allocation freedom** — from the telemetry hot-path
 //!   entry points, no allocation site is reachable.
+//! * **D015 shard-identity independence** — from the same merge entry
+//!   points as D008, no shard/worker/thread identity value is read;
+//!   merged results must not depend on worker layout.
 //!
 //! Every finding carries its full call chain (entry → … → hazard site)
 //! as evidence, so a diagnostic is actionable without re-running the
 //! analysis by hand. BFS visits neighbours in sorted order over a
 //! deterministic graph, so chains are stable across runs.
-//!
-//! Since v4 the hazard rules are *re-rooted on effect summaries* (see
-//! [`crate::summary`]): a rule's BFS only runs when some entry's
-//! propagated summary carries the relevant effect bit, and every finding
-//! records which summary bit convicted it (rule, SCC, frame count). Two
-//! summary-native rules ride on top, rooted in `[summary]`:
-//!
-//! * **D014 bounded recursion on decode paths** — every exact-edge
-//!   recursion cycle reachable from a protocol decode/encode entry must
-//!   contain an explicit fuel/depth guard.
-//! * **D015 shard-identity independence** — no shard/worker/thread
-//!   identity value may be read on a path reachable from a merge entry.
 
 use crate::graph::CallGraph;
-use crate::parser::HazardKind;
-use crate::policy::{GraphPolicy, SummaryPolicy};
-use crate::summary::{EffectSummary, Summaries};
-
-/// Why a finding fired, in effect-summary terms: which lattice bit
-/// convicted it, computed in which condensation component, propagated
-/// over how many frames (chain hops or cycle edges).
-#[derive(Debug, Clone)]
-pub struct SummaryNote {
-    /// The effect-lattice field (`panics`, `allocates`, ...).
-    pub effect: &'static str,
-    /// Condensation component id of the convicted function.
-    pub scc: usize,
-    /// Chain hops (hazard rules) or cycle members (D014).
-    pub frames: usize,
-}
+use crate::parser::{Hazard, HazardKind};
+use crate::policy::GraphPolicy;
 
 /// One interprocedural finding, attributed to the hazard site.
 #[derive(Debug, Clone)]
@@ -63,29 +40,19 @@ pub struct ChainFinding {
     pub message: String,
     /// Call chain as `fn (file:line)` hops, entry first, hazard fn last.
     pub chain: Vec<String>,
-    /// Effect-summary provenance.
-    pub summary: Option<SummaryNote>,
 }
 
 /// Run every configured interprocedural rule. Fails when an entry in
 /// any policy section matches no graph node — a stale entry list would
 /// silently un-prove the contract.
-pub fn check(
-    graph: &CallGraph,
-    summaries: &Summaries,
-    policy: &GraphPolicy,
-    summary_pol: &SummaryPolicy,
-) -> Result<Vec<ChainFinding>, String> {
+pub fn check(graph: &CallGraph, policy: &GraphPolicy) -> Result<Vec<ChainFinding>, String> {
     let mut out = Vec::new();
     if !policy.protocol_entries.is_empty() {
         let entries = resolve_entries(graph, &policy.protocol_entries, "[graph] protocol_entries")?;
         out.extend(scan(
             graph,
-            summaries,
             &entries,
             "D007",
-            "panics",
-            |s| s.panics,
             |h| h.kind == HazardKind::Panic,
             "can panic and is reachable from a protocol entry point; malformed \
              wire data must surface as a typed error, not an abort",
@@ -95,25 +62,28 @@ pub fn check(
         let entries = resolve_entries(graph, &policy.merge_entries, "[graph] merge_entries")?;
         out.extend(scan(
             graph,
-            summaries,
             &entries,
             "D008",
-            "float-accum",
-            |_| true, // FloatAccum is not a summary bit: always walk.
             |h| h.kind == HazardKind::FloatAccum,
             "accumulates floats on a shard-merge path; summation order depends \
              on shard layout — accumulate in integers or fold in sorted order",
+        ));
+        out.extend(scan(
+            graph,
+            &entries,
+            "D015",
+            |h| h.kind == HazardKind::ShardIdent,
+            "reads a shard/worker identity value on a merge path; merged \
+             results would depend on worker layout — key the data on a \
+             layout-independent value (global index, address, name)",
         ));
     }
     if !policy.step_entries.is_empty() {
         let entries = resolve_entries(graph, &policy.step_entries, "[graph] step_entries")?;
         out.extend(scan(
             graph,
-            summaries,
             &entries,
             "D009",
-            "blocks",
-            |s| s.blocks,
             |h| h.kind == HazardKind::Blocking,
             "blocks the calling thread and is reachable from an event-machine \
              step; a stalled handler skews every virtual-time measurement \
@@ -124,92 +94,16 @@ pub fn check(
         let entries = resolve_entries(graph, &policy.hot_entries, "[graph] hot_entries")?;
         out.extend(scan(
             graph,
-            summaries,
             &entries,
             "D012",
-            "allocates",
-            |s| s.allocates,
             |h| h.kind == HazardKind::Alloc,
             "allocates on the telemetry hot path; the alloc-free per-probe \
              budget holds only if no reachable site touches the heap",
         ));
     }
-    if !summary_pol.decode_entries.is_empty() {
-        let entries = resolve_entries(
-            graph,
-            &summary_pol.decode_entries,
-            "[summary] decode_entries",
-        )?;
-        out.extend(recursion_scan(graph, summaries, &entries));
-    }
-    if !summary_pol.identity_entries.is_empty() {
-        let entries = resolve_entries(
-            graph,
-            &summary_pol.identity_entries,
-            "[summary] identity_entries",
-        )?;
-        out.extend(scan(
-            graph,
-            summaries,
-            &entries,
-            "D015",
-            "shard-ident",
-            |s| s.shard_ident,
-            |h| h.kind == HazardKind::ShardIdent,
-            "reads a shard/worker identity value on a merge path; merged \
-             results would depend on worker layout — key the data on a \
-             layout-independent value (global index, address, name)",
-        ));
-    }
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     out.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.rule == b.rule);
     Ok(out)
-}
-
-/// D014: every cyclic exact-edge SCC reachable from a decode entry must
-/// contain an explicit fuel/depth guard.
-fn recursion_scan(
-    graph: &CallGraph,
-    summaries: &Summaries,
-    entries: &[usize],
-) -> Vec<ChainFinding> {
-    let (seen, pred) = bfs(graph, entries, true);
-    let mut out = Vec::new();
-    for scc in &summaries.exact_sccs {
-        let Some(&anchor) = scc.iter().find(|&&u| seen[u]) else {
-            continue;
-        };
-        if scc.iter().any(|&u| graph.nodes[u].recursion_guard) {
-            continue;
-        }
-        let node = &graph.nodes[anchor];
-        let cycle: Vec<String> = scc.iter().map(|&u| graph.nodes[u].qualified()).collect();
-        let chain = chain_to(graph, &pred, anchor);
-        let rendered = chain
-            .iter()
-            .map(String::as_str)
-            .collect::<Vec<_>>()
-            .join(" -> ");
-        out.push(ChainFinding {
-            file: node.file.clone(),
-            line: node.line,
-            rule: "D014",
-            message: format!(
-                "recursion cycle {{{}}} on a decode/encode path carries no \
-                 fuel/depth guard; adversarial wire data (compression-pointer \
-                 loops, nested records) must hit an explicit bound, not the \
-                 stack limit [chain: {rendered}]",
-                cycle.join(" -> ")
-            ),
-            chain,
-            summary: Some(SummaryNote {
-                effect: "max-self-recursion",
-                scc: summaries.per_fn[anchor].scc,
-                frames: scc.len(),
-            }),
-        });
-    }
-    out
 }
 
 /// Map entry patterns (`doe_scanner::sweep::syn_sweep_sharded`,
@@ -248,28 +142,21 @@ pub fn resolve_entries(
     Ok(out)
 }
 
-/// Deterministic BFS over the call graph. `exact_only` restricts the
-/// walk to exact edges (D014).
-fn bfs(
-    graph: &CallGraph,
-    entries: &[usize],
-    exact_only: bool,
-) -> (Vec<bool>, Vec<Option<(usize, u32)>>) {
+/// Deterministic BFS over the call graph: which nodes the entries reach,
+/// and each reached node's predecessor on a shortest chain.
+fn bfs(graph: &CallGraph, entries: &[usize]) -> (Vec<bool>, Vec<Option<usize>>) {
     let n = graph.nodes.len();
-    let mut pred: Vec<Option<(usize, u32)>> = vec![None; n]; // (caller, call line)
+    let mut pred: Vec<Option<usize>> = vec![None; n];
     let mut seen = vec![false; n];
     let mut queue: std::collections::VecDeque<usize> = entries.iter().copied().collect();
     for &e in entries {
         seen[e] = true;
     }
     while let Some(u) = queue.pop_front() {
-        for &(v, line, exact) in &graph.adj[u] {
-            if exact_only && !exact {
-                continue;
-            }
+        for &v in &graph.adj[u] {
             if !seen[v] {
                 seen[v] = true;
-                pred[v] = Some((u, line));
+                pred[v] = Some(u);
                 queue.push_back(v);
             }
         }
@@ -278,24 +165,15 @@ fn bfs(
 }
 
 /// BFS from `entries`; emit one finding per hazard site on a reached
-/// node that passes `hazard_filter`. The walk only runs when some
-/// entry's propagated summary carries the `bit` — the summary is the
-/// proof obligation, the BFS just reconstructs the witness chain.
-#[allow(clippy::too_many_arguments)]
+/// node that passes `hazard_filter`.
 fn scan(
     graph: &CallGraph,
-    summaries: &Summaries,
     entries: &[usize],
     rule: &'static str,
-    effect: &'static str,
-    bit: impl Fn(&EffectSummary) -> bool,
-    hazard_filter: impl Fn(&crate::parser::Hazard) -> bool,
+    hazard_filter: impl Fn(&Hazard) -> bool,
     why: &str,
 ) -> Vec<ChainFinding> {
-    if !entries.iter().any(|&e| bit(&summaries.per_fn[e])) {
-        return Vec::new();
-    }
-    let (seen, pred) = bfs(graph, entries, false);
+    let (seen, pred) = bfs(graph, entries);
 
     let mut out = Vec::new();
     for (i, node) in graph.nodes.iter().enumerate() {
@@ -314,11 +192,6 @@ fn scan(
                 line: h.line,
                 rule,
                 message: format!("`{}` {why} [chain: {rendered}]", h.what),
-                summary: Some(SummaryNote {
-                    effect,
-                    scc: summaries.per_fn[i].scc,
-                    frames: chain.len(),
-                }),
                 chain,
             });
         }
@@ -327,7 +200,7 @@ fn scan(
 }
 
 /// Walk the predecessor map back to an entry and render each hop.
-fn chain_to(graph: &CallGraph, pred: &[Option<(usize, u32)>], end: usize) -> Vec<String> {
+fn chain_to(graph: &CallGraph, pred: &[Option<usize>], end: usize) -> Vec<String> {
     let mut hops: Vec<String> = Vec::new();
     let mut cur = end;
     let mut guard = 0usize;
@@ -340,7 +213,7 @@ fn chain_to(graph: &CallGraph, pred: &[Option<(usize, u32)>], end: usize) -> Vec
             node.line
         ));
         match pred[cur] {
-            Some((prev, _)) if guard < graph.nodes.len() => {
+            Some(prev) if guard < graph.nodes.len() => {
                 cur = prev;
                 guard += 1;
             }
@@ -357,7 +230,6 @@ mod tests {
     use crate::graph::{build, SourceItems};
     use crate::lexer::lex;
     use crate::parser::parse_file;
-    use crate::policy::GraphPolicy;
     use crate::rules::test_mask;
 
     fn items(module: &[&str], src: &str) -> SourceItems {
@@ -390,31 +262,6 @@ mod tests {
             hot_entries: v(hot),
             ..GraphPolicy::default()
         }
-    }
-
-    fn sp(decode: &[&str], ident: &[&str]) -> SummaryPolicy {
-        let v = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect();
-        SummaryPolicy {
-            decode_entries: v(decode),
-            identity_entries: v(ident),
-        }
-    }
-
-    fn full_check(
-        g: &CallGraph,
-        gpol: &GraphPolicy,
-        spol: &SummaryPolicy,
-    ) -> Result<Vec<ChainFinding>, String> {
-        let summaries = crate::summary::compute(g);
-        super::check(g, &summaries, gpol, spol)
-    }
-
-    fn check(g: &CallGraph, gpol: &GraphPolicy) -> Result<Vec<ChainFinding>, String> {
-        full_check(g, gpol, &SummaryPolicy::default())
-    }
-
-    fn scheck(g: &CallGraph, spol: &SummaryPolicy) -> Result<Vec<ChainFinding>, String> {
-        full_check(g, &GraphPolicy::default(), spol)
     }
 
     #[test]
@@ -512,62 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn findings_carry_summary_provenance() {
-        let src = r#"
-            pub fn entry(x: Option<u8>) { mid(x); }
-            fn mid(x: Option<u8>) { leaf(x); }
-            fn leaf(x: Option<u8>) -> u8 { x.unwrap() }
-        "#;
-        let g = build(&[items(&[], src)]);
-        let f = check(&g, &gp(&["a::entry"], &[])).unwrap();
-        assert_eq!(f.len(), 1);
-        let note = f[0].summary.as_ref().expect("provenance");
-        assert_eq!(note.effect, "panics");
-        assert_eq!(note.frames, 3);
-    }
-
-    #[test]
-    fn unguarded_recursion_on_decode_path_is_d014() {
-        let src = r#"
-            pub fn decode(buf: &[u8]) { parse_name(buf); }
-            fn parse_name(buf: &[u8]) { parse_label(buf); }
-            fn parse_label(buf: &[u8]) { parse_name(buf); }
-        "#;
-        let g = build(&[items(&[], src)]);
-        let f = scheck(&g, &sp(&["a::decode"], &[])).unwrap();
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "D014");
-        assert!(f[0].message.contains("a::parse_name"), "{}", f[0].message);
-        assert!(f[0].message.contains("a::parse_label"));
-        assert!(f[0].chain[0].starts_with("a::decode "));
-        assert_eq!(f[0].summary.as_ref().unwrap().effect, "max-self-recursion");
-        assert_eq!(f[0].summary.as_ref().unwrap().frames, 2);
-    }
-
-    #[test]
-    fn fuel_guarded_recursion_is_clean() {
-        let src = r#"
-            pub fn decode(buf: &[u8]) { parse_name(buf, 64); }
-            fn parse_name(buf: &[u8], depth: u32) { parse_label(buf, depth); }
-            fn parse_label(buf: &[u8], n: u32) { parse_name(buf, n); }
-        "#;
-        let g = build(&[items(&[], src)]);
-        let f = scheck(&g, &sp(&["a::decode"], &[])).unwrap();
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn recursion_cycle_off_the_decode_path_is_silent() {
-        let src = r#"
-            pub fn decode(buf: &[u8]) { let n = buf.len(); }
-            fn walker(buf: &[u8]) { walker(buf); }
-        "#;
-        let g = build(&[items(&[], src)]);
-        let f = scheck(&g, &sp(&["a::decode"], &[])).unwrap();
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
     fn shard_identity_read_on_merge_path_is_d015() {
         let src = r#"
             pub struct Stats;
@@ -578,19 +369,10 @@ mod tests {
             pub fn unrelated(o: &Stats) { let k = o.shard_id; }
         "#;
         let g = build(&[items(&[], src)]);
-        let f = scheck(&g, &sp(&[], &["Stats::absorb"])).unwrap();
+        let f = check(&g, &gp(&[], &["Stats::absorb"])).unwrap();
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "D015");
         assert!(f[0].message.contains("shard_id"));
         assert_eq!(f[0].chain.len(), 2);
-        assert_eq!(f[0].summary.as_ref().unwrap().effect, "shard-ident");
-    }
-
-    #[test]
-    fn stale_summary_entry_is_a_hard_error() {
-        let g = build(&[items(&[], "pub fn entry() {}")]);
-        let err = scheck(&g, &sp(&["a::vanished"], &[])).unwrap_err();
-        assert!(err.contains("[summary] decode_entries"), "{err}");
-        assert!(err.contains("vanished"));
     }
 }

@@ -2,20 +2,15 @@
 //!
 //! JSON is hand-rolled (the analyzer is dependency-free); the schema is
 //! stable so `scripts/verify.sh` can archive reports under `results/`
-//! and diff them across runs. Schema version 2 added the `chain` field:
-//! interprocedural findings (D007–D015) carry the call chain from an
-//! entry point to the hazard site as evidence. Version 3 added the
-//! `flow` field for the intraprocedural def-use rules; those rules are
-//! retired (the types they checked now enforce the same invariants), and
-//! `flow` stays on every finding as an empty array so v4 consumers never
-//! branch on key existence. Version 4 adds, per finding:
+//! and diff them across runs. In schema version 5 each finding carries,
+//! besides its file, line, rule, severity and message:
 //!
+//! * `"chain"` — for the interprocedural rules (D007–D015), the call
+//!   chain from an entry point to the hazard site as evidence; empty for
+//!   token rules;
 //! * `"fingerprint"` — a stable identity (`rule|file|entry|site`) built
 //!   from line-number-free chain endpoints, so `--baseline` diffs
-//!   survive unrelated edits that shift line numbers;
-//! * `"summary"` — effect-summary provenance (`effect` lattice bit,
-//!   condensation component `scc`, `frames` hop count) for the
-//!   interprocedural rules, `null` for token rules.
+//!   survive unrelated edits that shift line numbers.
 //!
 //! The same findings export as SARIF 2.1.0 (see [`sarif`]) for CI
 //! annotation; both renderings are byte-deterministic.
@@ -73,7 +68,7 @@ pub fn fingerprint(f: &Finding) -> String {
 
 /// Render the machine-readable report.
 pub fn json(report: &Report) -> String {
-    let mut out = String::from("{\n  \"version\": 4,\n  \"findings\": [");
+    let mut out = String::from("{\n  \"version\": 5,\n  \"findings\": [");
     for (i, f) in report.findings.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
         let _ = write!(
@@ -93,20 +88,7 @@ pub fn json(report: &Report) -> String {
             let sep = if j == 0 { "" } else { ", " };
             let _ = write!(out, "{sep}\"{}\"", esc(hop));
         }
-        out.push_str("], \"flow\": [], \"summary\": ");
-        match &f.summary {
-            Some(n) => {
-                let _ = write!(
-                    out,
-                    "{{\"effect\": \"{}\", \"scc\": {}, \"frames\": {}}}",
-                    esc(n.effect),
-                    n.scc,
-                    n.frames
-                );
-            }
-            None => out.push_str("null"),
-        }
-        out.push('}');
+        out.push_str("]}");
     }
     out.push_str("\n  ],\n  \"suppressed\": [");
     for (i, s) in report.suppressed.iter().enumerate() {
@@ -144,7 +126,7 @@ pub fn sarif(report: &Report) -> String {
         "{\n  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \
          \"version\": \"2.1.0\",\n  \"runs\": [\n    {\n      \"tool\": {\n        \
          \"driver\": {\n          \"name\": \"doe-lint\",\n          \
-         \"version\": \"4\",\n          \"rules\": [",
+         \"version\": \"5\",\n          \"rules\": [",
     );
     for (i, (id, what)) in crate::rules::RULES.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
@@ -213,7 +195,6 @@ mod tests {
                 message: "a \"quoted\" message".to_string(),
                 severity: Severity::Error,
                 chain: Vec::new(),
-                summary: None,
             }],
             suppressed: Vec::new(),
             files_scanned: 1,
@@ -221,7 +202,7 @@ mod tests {
         let j = json(&report);
         assert!(j.contains("\\\"quoted\\\""));
         assert!(j.contains("\"clean\": false"));
-        assert!(j.contains("\"version\": 4"));
+        assert!(j.contains("\"version\": 5"));
         let empty = Report {
             findings: Vec::new(),
             suppressed: Vec::new(),
@@ -243,7 +224,6 @@ mod tests {
                     "a::entry (crates/a/src/lib.rs:1)".to_string(),
                     "a::leaf (crates/a/src/lib.rs:5)".to_string(),
                 ],
-                summary: None,
             }],
             suppressed: Vec::new(),
             files_scanned: 1,
@@ -252,8 +232,7 @@ mod tests {
         assert!(h.contains("entry a::entry"));
         assert!(h.contains("  via a::leaf"));
         let j = json(&report);
-        assert!(j.contains("\"chain\": [\"a::entry (crates/a/src/lib.rs:1)\", \"a::leaf (crates/a/src/lib.rs:5)\"]"));
-        assert!(j.contains("\"flow\": []"));
+        assert!(j.contains("\"chain\": [\"a::entry (crates/a/src/lib.rs:1)\", \"a::leaf (crates/a/src/lib.rs:5)\"]}"));
     }
 
     fn chained(line: u32, chain: &[&str]) -> Finding {
@@ -264,7 +243,6 @@ mod tests {
             message: "can panic".to_string(),
             severity: Severity::Error,
             chain: chain.iter().map(|s| s.to_string()).collect(),
-            summary: None,
         }
     }
 
@@ -290,26 +268,6 @@ mod tests {
         // Token findings fall back to the line anchor.
         let t = chained(9, &[]);
         assert_eq!(fingerprint(&t), "D007|crates/x/src/lib.rs|-|L9");
-    }
-
-    #[test]
-    fn summary_provenance_renders_in_json() {
-        let mut f = chained(9, &["a::entry (crates/a/src/lib.rs:1)"]);
-        f.summary = Some(crate::reach::SummaryNote {
-            effect: "panics",
-            scc: 7,
-            frames: 1,
-        });
-        let report = Report {
-            findings: vec![f],
-            suppressed: Vec::new(),
-            files_scanned: 1,
-        };
-        let j = json(&report);
-        assert!(
-            j.contains("\"summary\": {\"effect\": \"panics\", \"scc\": 7, \"frames\": 1}"),
-            "{j}"
-        );
     }
 
     #[test]

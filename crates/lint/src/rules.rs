@@ -46,10 +46,6 @@ pub const RULES: &[(&str, &str)] = &[
         "no allocation site reachable from telemetry hot-path entry points",
     ),
     (
-        "D014",
-        "recursion cycles on decode/encode paths carry an explicit fuel/depth guard",
-    ),
-    (
         "D015",
         "no shard/worker/thread identity value read on a shard-merge path",
     ),

@@ -1,14 +1,13 @@
 //! Fixture-based self-tests for the determinism analyzer.
 //!
 //! Each token rule (D001–D006) gets three fixtures — violating, clean,
-//! and pragma-suppressed — and the call-graph rules (D007–D009, D012)
-//! and the effect-summary rules (D014–D015) get the same triple driven
-//! through the whole-workspace `analyze` entry point. On top of that:
-//! pragma hygiene (including stale pragmas as P004 errors), `lint.toml`
-//! scoping, byte-determinism of the exported call graph, v4 report and
-//! SARIF export, and meta-tests asserting the live workspace satisfies
-//! its own contract, that every crate keeps D006, and that the summary
-//! fixpoint covers every function in the graph.
+//! and pragma-suppressed — and the call-graph rules (D007–D009, D012,
+//! D015) get the same triple driven through the whole-workspace
+//! `analyze` entry point. On top of that: pragma hygiene (including
+//! stale pragmas as P004 errors), `lint.toml` scoping, byte-determinism
+//! of the exported call graph, v5 report and SARIF export, and
+//! meta-tests asserting the live workspace satisfies its own contract
+//! and that every crate keeps D006.
 
 use doe_lint::policy::Policy;
 use doe_lint::{
@@ -149,7 +148,7 @@ fn graph_policy(rule: &str, entry: &[&str]) -> Policy {
     let g = &mut policy.graph;
     let set = match rule {
         "D007" => &mut g.protocol_entries,
-        "D008" => &mut g.merge_entries,
+        "D008" | "D015" => &mut g.merge_entries,
         "D009" => &mut g.step_entries,
         "D012" => &mut g.hot_entries,
         other => panic!("{other} is not a [graph] rule"),
@@ -245,110 +244,14 @@ fn d012_hot_path_allocation() {
     );
 }
 
-// ---------------------------------------------------------------------
-// Effect-summary rules (D014–D015): same triple shape, rooted at the
-// `[summary]` entry sets.
-
-fn analyze_summary_fixture(src: &str, decode: &[&str], ident: &[&str]) -> Analysis {
-    let mut policy = Policy::default();
-    policy.summary.decode_entries = decode.iter().map(|s| s.to_string()).collect();
-    policy.summary.identity_entries = ident.iter().map(|s| s.to_string()).collect();
-    analyze_policy_fixture(src, &policy)
-}
-
-fn assert_summary_triple(
-    rule: &str,
-    entry: &[&str],
-    violation: &str,
-    clean: &str,
-    suppressed: &str,
-) {
-    let (d, i) = match rule {
-        "D014" => (entry, &[][..]),
-        _ => (&[][..], entry),
-    };
-
-    let v = analyze_summary_fixture(violation, d, i).report;
-    assert!(
-        !v.findings.is_empty(),
-        "{rule}: violation fixture produced no findings"
-    );
-    assert!(
-        v.findings.iter().all(|f| f.rule == rule),
-        "{rule}: violation fixture tripped other rules: {:?}",
-        v.findings
-    );
-    // Every summary-rule finding carries its effect provenance and an
-    // entry-rooted chain.
-    assert!(
-        v.findings.iter().all(|f| f.summary.is_some()
-            && !f.chain.is_empty()
-            && f.chain[0].contains(entry[0].rsplit("::").next().unwrap())),
-        "{rule}: finding lacks summary provenance or a chain rooted at the entry: {:?}",
-        v.findings
-    );
-
-    let c = analyze_summary_fixture(clean, d, i).report;
-    assert!(
-        c.findings.is_empty(),
-        "{rule}: clean fixture produced findings: {:?}",
-        c.findings
-    );
-
-    let sup = analyze_summary_fixture(suppressed, d, i).report;
-    assert!(
-        sup.findings.is_empty(),
-        "{rule}: suppressed fixture still has findings: {:?}",
-        sup.findings
-    );
-    assert!(
-        sup.suppressed.iter().any(|x| x.rule == rule),
-        "{rule}: suppressed fixture recorded no {rule} suppression: {:?}",
-        sup.suppressed
-    );
-}
-
-#[test]
-fn d014_bounded_decode_recursion() {
-    assert_summary_triple(
-        "D014",
-        &["fixture_lib::decode"],
-        include_str!("fixtures/d014_violation.rs"),
-        include_str!("fixtures/d014_clean.rs"),
-        include_str!("fixtures/d014_suppressed.rs"),
-    );
-}
-
 #[test]
 fn d015_shard_identity_on_merge_path() {
-    assert_summary_triple(
+    assert_graph_triple(
         "D015",
         &["fixture_lib::Stats::absorb"],
         include_str!("fixtures/d015_violation.rs"),
         include_str!("fixtures/d015_clean.rs"),
         include_str!("fixtures/d015_suppressed.rs"),
-    );
-}
-
-#[test]
-fn stale_summary_entry_is_a_configuration_error() {
-    let mut policy = Policy::default();
-    policy.summary.decode_entries = vec!["fixture_lib::renamed_or_removed".to_string()];
-    let files = vec![LoadedFile {
-        file: SourceFile {
-            crate_key: "fixture".to_string(),
-            rel_path: "src/lib.rs".to_string(),
-            display_path: "crates/fixture/src/lib.rs".to_string(),
-            abs_path: PathBuf::new(),
-        },
-        src: include_str!("fixtures/d014_clean.rs").to_string(),
-    }];
-    let mut names = BTreeMap::new();
-    names.insert("fixture".to_string(), "fixture_lib".to_string());
-    let err = analyze(&files, &policy, &names).expect_err("stale entry must be rejected");
-    assert!(
-        err.contains("renamed_or_removed") && err.contains("decode_entries"),
-        "error should name the stale entry and its set: {err}"
     );
 }
 
@@ -596,10 +499,6 @@ fn workspace_lints_clean() {
             && !policy.graph.hot_entries.is_empty(),
         "the workspace policy must keep the interprocedural rules rooted"
     );
-    assert!(
-        !policy.summary.decode_entries.is_empty() && !policy.summary.identity_entries.is_empty(),
-        "the workspace policy must keep the effect-summary rules rooted"
-    );
     let report = lint_workspace(&root, &policy).expect("workspace lints");
     assert!(
         report.clean(),
@@ -667,8 +566,8 @@ fn callgraph_and_report_are_byte_deterministic() {
         "doe-lint.json is not byte-stable across runs"
     );
     assert!(
-        ra.contains("\"version\": 4"),
-        "report schema should be v4 (with per-finding fingerprint and summary provenance)"
+        ra.contains("\"version\": 5"),
+        "report schema should be v5 (per-finding chain and fingerprint)"
     );
     let sa = doe_lint::report::sarif(&a.report);
     assert_eq!(
@@ -679,50 +578,5 @@ fn callgraph_and_report_are_byte_deterministic() {
     assert!(
         sa.contains("\"version\": \"2.1.0\"") && sa.contains("\"name\": \"doe-lint\""),
         "SARIF export lost its envelope"
-    );
-}
-
-/// The summary fixpoint must converge with a summary for every function
-/// in the workspace graph, and the results must be internally
-/// consistent: component ids in range, recursion counts only on members
-/// of cyclic exact SCCs, and the condensation topologically ordered
-/// (callees' components never after their callers' in emission order is
-/// not required, but each function's effects must include those of its
-/// callees by the join).
-#[test]
-fn workspace_summary_fixpoint_covers_every_function() {
-    let root = workspace_root();
-    let policy = workspace_policy(&root);
-    let a = doe_lint::analyze_workspace(&root, &policy).expect("analysis");
-    let n = a.graph.nodes.len();
-    assert!(n > 500, "suspiciously small workspace graph: {n} nodes");
-    assert_eq!(
-        a.summaries.per_fn.len(),
-        n,
-        "fixpoint must produce a summary for every function"
-    );
-    // Join consistency: every caller's summary includes each callee's
-    // effect bits.
-    for u in 0..n {
-        let su = &a.summaries.per_fn[u];
-        for &(v, _, _) in &a.graph.adj[u] {
-            let sv = &a.summaries.per_fn[v];
-            assert!(!sv.panics || su.panics, "panics not joined {u}<-{v}");
-            assert!(!sv.blocks || su.blocks, "blocks not joined {u}<-{v}");
-            assert!(
-                !sv.allocates || su.allocates,
-                "allocates not joined {u}<-{v}"
-            );
-        }
-    }
-    // The workspace certainly allocates and panics somewhere; a
-    // fixpoint that says otherwise silently under-joined.
-    assert!(
-        a.summaries.per_fn.iter().any(|s| s.allocates),
-        "no allocation effect anywhere — summaries under-joined"
-    );
-    assert!(
-        a.summaries.per_fn.iter().any(|s| s.panics),
-        "no panic effect anywhere — summaries under-joined"
     );
 }

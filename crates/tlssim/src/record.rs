@@ -51,7 +51,19 @@ pub struct Record {
 
 impl Record {
     /// Serialise to wire bytes.
+    ///
+    /// # Panics
+    /// Panics if the payload is longer than `u16::MAX` bytes, which the
+    /// record's length field cannot carry. Keeping it shorter is the
+    /// caller's invariant: [`seal_record`] and the handshake refuse a
+    /// longer payload with [`TlsError::RecordOverflow`], and every other
+    /// record the simulator builds carries a short alert or `Finished`.
     pub fn encode(&self) -> Vec<u8> {
+        assert!(
+            self.payload.len() <= usize::from(u16::MAX),
+            "a {}-byte record payload overflows the u16 length field",
+            self.payload.len()
+        );
         let mut out = Vec::with_capacity(3 + self.payload.len());
         out.push(self.ctype.to_u8());
         out.extend_from_slice(&(self.payload.len() as u16).to_be_bytes());

@@ -4,6 +4,14 @@
 //! records that re-encode to exactly that input, in work linear in the
 //! input. Fixtures under `tests/fixtures/record_*.hex` pin the error for
 //! each malformed shape.
+//!
+//! The `*_on_a_worker_stack` tests bound [`decode_records`] and
+//! [`encode_records`] on the longest flights and payloads the record
+//! format allows, on a 2 MiB thread, the size of a shard worker's stack.
+//! The handshake codec's bounds, `HandshakeMsg::{encode, decode}`, are
+//! `full_records_of_one_byte_are_rejected_on_a_worker_stack` in
+//! `hostile_handshake.rs` and `every_proper_prefix_is_a_protocol_violation`
+//! in `golden_handshake.rs`.
 
 use proptest::prelude::*;
 use tlssim::record::{decode_records, encode_records, ContentType, Record};
@@ -121,4 +129,55 @@ proptest! {
             assert_typed_or_exact(input)?;
         }
     }
+}
+
+/// Run `f` on a 2 MiB thread, the size of a shard worker's stack, and
+/// re-raise its panic, if any, on the test thread.
+fn on_a_worker_stack(f: impl FnOnce() + Send + 'static) {
+    let worker = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .expect("spawn a 2 MiB worker");
+    if let Err(panic) = worker.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+/// 4,194,304 zero-length records (12 MiB): one pass each way, and the
+/// flight re-encodes byte for byte.
+#[test]
+fn millions_of_empty_records_round_trip_on_a_worker_stack() {
+    on_a_worker_stack(|| {
+        let flight = [23u8, 0, 0].repeat(1 << 22);
+        let records = decode_records(&flight).expect("empty records are well formed");
+        assert_eq!(records.len(), 1 << 22);
+        assert!(encode_records(&records) == flight);
+    });
+}
+
+/// The longest payload the 16-bit length carries round-trips.
+#[test]
+fn a_full_length_payload_round_trips_on_a_worker_stack() {
+    on_a_worker_stack(|| {
+        let record = Record {
+            ctype: ContentType::ApplicationData,
+            payload: vec![0xab; usize::from(u16::MAX)],
+        };
+        let flight = encode_records(std::slice::from_ref(&record));
+        assert_eq!(flight.len(), 3 + usize::from(u16::MAX));
+        assert_eq!(decode_records(&flight), Ok(vec![record]));
+    });
+}
+
+/// One byte more would wrap the length field into a different flight, so
+/// encoding it is a broken caller invariant, not a record.
+#[test]
+#[should_panic(expected = "overflows the u16 length field")]
+fn a_payload_past_the_length_field_panics_on_a_worker_stack() {
+    on_a_worker_stack(|| {
+        encode_records(&[Record {
+            ctype: ContentType::ApplicationData,
+            payload: vec![0xab; usize::from(u16::MAX) + 1],
+        }]);
+    });
 }

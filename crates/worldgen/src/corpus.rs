@@ -10,6 +10,7 @@
 use crate::providers::DohServiceSpec;
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::fmt::Write as _;
 
 const HOST_WORDS: &[&str] = &[
     "news", "shop", "blog", "mail", "cdn", "img", "static", "api", "forum", "wiki", "video",
@@ -33,14 +34,18 @@ const PATH_WORDS: &[&str] = &[
 
 fn noise_url(rng: &mut SmallRng) -> String {
     let scheme = if rng.gen_bool(0.8) { "https" } else { "http" };
-    let host = format!(
-        "{}{}.{}",
-        HOST_WORDS[rng.gen_range(0..HOST_WORDS.len())],
-        rng.gen_range(0..10_000),
-        TLDS[rng.gen_range(0..TLDS.len())]
-    );
+    let word = HOST_WORDS[rng.gen_range(0..HOST_WORDS.len())];
+    let number: i32 = rng.gen_range(0..10_000);
+    let tld = TLDS[rng.gen_range(0..TLDS.len())];
     let path = PATH_WORDS[rng.gen_range(0..PATH_WORDS.len())];
-    format!("{scheme}://{host}/{path}")
+    // The corpus keeps every URL for the whole run, so the buffer is
+    // sized to the text (`://`, `.` and `/` add 5 bytes): `format!` grows
+    // by doubling and would leave slack in every one.
+    let digits = number.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let mut url =
+        String::with_capacity(scheme.len() + word.len() + digits + tld.len() + path.len() + 5);
+    let _ = write!(url, "{scheme}://{word}{number}.{tld}/{path}");
+    url
 }
 
 /// A decoy: contains a DoH-ish path but is not a DoH service. Some merely

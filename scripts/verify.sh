@@ -69,6 +69,46 @@ echo "==> httpsim: pinned request/response errors + hostile messages"
 # typed error or re-encode stably.
 cargo test -q --offline -p httpsim --test hostile_messages
 
+echo "==> URI corpus: pinned URL, template and base64url outcomes + mutated inputs"
+# DoH discovery parses every crawled corpus URL and a DoH server decodes
+# every GET's `dns` parameter: the pinned cases fix each refusal (userinfo,
+# fragment, stray colon or brace, non-zero unused base64url bits) and each
+# authority that ends at `?`; mutated URLs and templates must give `None`
+# or a value whose text parses back to it, and mutated base64url must
+# decode only where it re-encodes to the same text.
+cargo test -q --offline -p httpsim --lib -- uri::tests b64::tests
+cargo test -q --offline -p httpsim --test hostile_messages -- \
+    hostile_urls_are_none_or_display_round_trip \
+    hostile_base64url_decodes_only_canonical_text
+
+echo "==> decoder bounds: deep and long hostile input on a 2 MiB worker stack"
+# Every wire decoder and encoder meets input an attacker shapes, so each
+# entry point runs its deepest and longest case on a shard worker's stack.
+# dnswire: the deepest pointer chain the format allows must hit the 64-jump cap.
+cargo test -q --offline -p dnswire --test adversarial -- \
+    deepest_pointer_chain_is_a_pointer_loop_on_a_worker_stack \
+    pointer_chain_across_answers_is_a_pointer_loop_on_a_worker_stack \
+    deep_accepted_names_decode_and_re_encode_on_a_worker_stack \
+    oversized_rdata_is_refused_on_a_worker_stack \
+    mebibyte_presentation_names_are_refused_on_a_worker_stack
+# tlssim: 12 MiB of empty records and a full-length payload, one pass each way.
+cargo test -q --offline -p tlssim --test hostile_records -- \
+    millions_of_empty_records_round_trip_on_a_worker_stack \
+    a_full_length_payload_round_trips_on_a_worker_stack \
+    a_payload_past_the_length_field_panics_on_a_worker_stack
+# tlssim handshake: full records of nesting, quotes or digits, and every cut flight.
+cargo test -q --offline -p tlssim --test hostile_handshake -- \
+    full_records_of_one_byte_are_rejected_on_a_worker_stack
+cargo test -q --offline -p tlssim --test golden_handshake -- \
+    every_proper_prefix_is_a_protocol_violation
+# httpsim: huge heads, many headers and mebibyte URLs stay linear.
+cargo test -q --offline -p httpsim --test hostile_messages -- \
+    a_quarter_million_header_lines_decode_on_a_worker_stack \
+    many_equal_content_lengths_decode_on_a_worker_stack \
+    an_unterminated_mebibyte_head_is_refused_on_a_worker_stack \
+    a_hundred_thousand_headers_round_trip_on_a_worker_stack \
+    mebibyte_urls_and_templates_on_a_worker_stack
+
 echo "==> netsim: policy index + resolved paths against the models they replaced"
 # `PolicySet::evaluate` looks rules up by destination address and source
 # prefix instead of scanning them all: on random rule lists it must return
@@ -241,13 +281,13 @@ done
 rm -rf target/privacy-paper
 echo "    paper-scale padding-leakage report + telemetry identical across shard counts"
 
-echo "==> doe-lint (determinism contract: token rules + call-graph reachability + effect summaries)"
-# One pass writes the artifacts (v4 report and SARIF, both archived;
-# the v2 call graph, regenerated here and git-ignored); a second pass
+echo "==> doe-lint (determinism contract: token rules + call-graph reachability)"
+# One pass writes the artifacts (v5 report and SARIF, both archived;
+# the v3 call graph, regenerated here and git-ignored); a second pass
 # re-derives all three so the gate catches any nondeterminism in the
-# analyzer itself — including the effect-summary fixpoint. A stale
-# entry in lint.toml (renamed function, dropped rule root) is a hard
-# error inside the run, so the D007–D015 roots cannot rot silently.
+# analyzer itself. A stale entry in lint.toml (renamed function,
+# dropped rule root) is a hard error inside the run, so the D007–D015
+# roots cannot rot silently.
 cargo run -q --release -p doe-lint --offline -- \
     --json-out results/doe-lint.json --graph-out results/callgraph.json \
     --sarif results/doe-lint.sarif
@@ -273,8 +313,8 @@ grep -q '"nodes"' results/callgraph.json || {
     echo "FAIL: results/callgraph.json lost its node section" >&2
     exit 1
 }
-grep -q '"version": 4' results/doe-lint.json || {
-    echo "FAIL: results/doe-lint.json is not schema v4 (fingerprint + summary provenance)" >&2
+grep -q '"version": 5' results/doe-lint.json || {
+    echo "FAIL: results/doe-lint.json is not schema v5 (chain + fingerprint)" >&2
     exit 1
 }
 grep -q '"clean": true' results/doe-lint.json || {
@@ -301,8 +341,8 @@ cargo run -q --release -p doe-lint --offline -- \
     echo "FAIL: doe-lint --baseline reports regressions against the archived report" >&2
     exit 1
 }
-# The reachability rules (D007-D009, D012) must stay rooted in
-# lint.toml [graph], the summary rules (D014-D015) in [summary].
+# The reachability rules (D007-D009, D012, D015) must stay rooted in
+# lint.toml [graph]; D008 and D015 share the merge roots.
 section_has() {
     awk -v sec="[$1]" -v key="$2 = [" '
         /^\[/ { in_sec = ($0 == sec) }
@@ -310,13 +350,13 @@ section_has() {
         END { exit !found }' lint.toml
 }
 for roots in graph:protocol_entries graph:merge_entries graph:step_entries \
-             graph:hot_entries summary:decode_entries summary:identity_entries; do
+             graph:hot_entries; do
     section_has "${roots%%:*}" "${roots#*:}" || {
         echo "FAIL: lint.toml [${roots%%:*}] lost its ${roots#*:} roots" >&2
         exit 1
     }
 done
-echo "    doe-lint.json (v4) + doe-lint.sarif archived, callgraph.json regenerated, all byte-stable"
+echo "    doe-lint.json (v5) + doe-lint.sarif archived, callgraph.json regenerated, all byte-stable"
 
 if [[ "${FULL_SCALE:-0}" == "1" ]]; then
     echo "==> full scale: 2.5M-host sweep and 1M-client fleet determinism (FULL_SCALE=1)"
