@@ -7,12 +7,18 @@ use crate::message::{Message, Question};
 use crate::name::Name;
 use crate::rr::{RecordType, ResourceRecord};
 
-/// A recursion-desired query for `name`/`qtype` with transaction `id`.
+/// A recursion-desired query for `name`/`qtype` with transaction `id`:
+/// [`query_for`] the parsed name.
 pub fn query(id: u16, name: &str, qtype: RecordType) -> Result<Message, WireError> {
-    let qname = Name::parse(name)?;
+    Ok(query_for(id, Name::parse(name)?, qtype))
+}
+
+/// A recursion-desired query for `qname`/`qtype` with transaction `id`,
+/// for a caller that already holds the name.
+pub fn query_for(id: u16, qname: Name, qtype: RecordType) -> Message {
     let mut msg = Message::new(Header::new_query(id));
     msg.questions.push(Question::new(qname, qtype));
-    Ok(msg)
+    msg
 }
 
 /// Like [`query`], but with an EDNS OPT record advertising a 4096-byte

@@ -46,7 +46,7 @@ pub use header::{Header, Opcode, Rcode};
 pub use message::{Message, Question};
 pub use name::Name;
 pub use rr::{RData, RecordClass, RecordType, ResourceRecord, SoaData};
-pub use view::{MessageView, NameRef, RrView};
+pub use view::{MessageBuf, MessageView, NameRef, RrView};
 pub use zone::{Zone, ZoneLookup};
 
 /// Maximum size of a DNS message carried over UDP without EDNS (RFC 1035).

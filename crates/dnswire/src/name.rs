@@ -67,7 +67,11 @@ impl Name {
         }
         // Labels are non-empty, so each dot becomes a length octet and the
         // first label gains one: the buffer is exactly one octet longer.
-        let mut wire = Vec::with_capacity(trimmed.len() + 1);
+        // A longer input cannot be a name, so the buffer holds at most one
+        // name's worth and labels past the limit are validated, counted
+        // and not copied: the error is the one the whole copy would give.
+        let mut wire = Vec::with_capacity((trimmed.len() + 1).min(MAX_NAME_LEN));
+        let mut total = 1; // terminating root byte
         for raw in trimmed.split('.') {
             if raw.is_empty() {
                 return Err(WireError::BadPresentation(s.to_string()));
@@ -82,9 +86,11 @@ impl Name {
             {
                 return Err(WireError::BadPresentation(s.to_string()));
             }
-            push_label(&mut wire, bytes);
+            total += 1 + bytes.len();
+            if total <= MAX_NAME_LEN {
+                push_label(&mut wire, bytes);
+            }
         }
-        let total = wire.len() + 1; // terminating root byte
         if total > MAX_NAME_LEN {
             return Err(WireError::NameTooLong(total));
         }
@@ -159,15 +165,29 @@ impl Name {
 
     /// Prepend a label, e.g. turning `example.com` into `probe7.example.com`.
     pub fn prepend(&self, label: &str) -> Result<Name, WireError> {
-        if label.len() > MAX_LABEL_LEN {
-            return Err(WireError::LabelTooLong(label.len()));
+        self.prepend_labels(&[label.as_bytes()])
+    }
+
+    /// Prepend `labels`, leftmost first, in one allocation: `[b"q0", b"c7"]`
+    /// turns `example.com` into `q0.c7.example.com`. Each label is taken as
+    /// [`Self::prepend`] takes its one: lower-cased, refused past 63 octets
+    /// (the first such label decides the error), then the whole name past
+    /// 255.
+    pub fn prepend_labels(&self, labels: &[&[u8]]) -> Result<Name, WireError> {
+        let mut total = self.wire_len();
+        for label in labels {
+            if label.len() > MAX_LABEL_LEN {
+                return Err(WireError::LabelTooLong(label.len()));
+            }
+            total += 1 + label.len();
         }
-        let total = 1 + label.len() + self.wire_len();
         if total > MAX_NAME_LEN {
             return Err(WireError::NameTooLong(total));
         }
         let mut wire = Vec::with_capacity(total - 1);
-        push_label(&mut wire, label.as_bytes());
+        for label in labels {
+            push_label(&mut wire, label);
+        }
         wire.extend_from_slice(&self.wire);
         Ok(Name {
             wire: wire.into_boxed_slice(),
@@ -439,5 +459,26 @@ mod tests {
         let unique = apex.prepend("x1f3a9").unwrap();
         assert_eq!(unique.to_string(), "x1f3a9.probe.example.com.");
         assert!(unique.is_within(&apex));
+    }
+
+    #[test]
+    fn prepend_labels_is_prepend_right_to_left() {
+        let apex = Name::parse("pop.example").unwrap();
+        let both = apex.prepend_labels(&[b"Q0a1", b"c7"]).unwrap();
+        let chained = apex.prepend("c7").unwrap().prepend("q0a1").unwrap();
+        assert_eq!(both, chained);
+        assert_eq!(both.to_string(), "q0a1.c7.pop.example.");
+        assert_eq!(apex.prepend_labels(&[]).unwrap(), apex);
+        let long = [b'x'; 64];
+        assert_eq!(
+            apex.prepend_labels(&[b"ok", &long]),
+            Err(WireError::LabelTooLong(64))
+        );
+        // The total counts every label: 13 + 4 × 61 octets.
+        let label = [b'y'; 60];
+        assert_eq!(
+            apex.prepend_labels(&[&label, &label, &label, &label]),
+            Err(WireError::NameTooLong(257))
+        );
     }
 }

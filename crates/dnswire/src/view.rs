@@ -733,6 +733,51 @@ impl<'a> MessageView<'a> {
     }
 }
 
+/// An owned DNS message kept as the wire bytes it arrived as, which
+/// [`MessageView::parse`] accepted. It stores the header and the section
+/// offsets that parse found, so [`MessageBuf::view`] is infallible and
+/// free, and bytes that failed validation cannot be held as one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MessageBuf {
+    bytes: Vec<u8>,
+    header: Header,
+    answers_off: usize,
+    authority_off: usize,
+    additional_off: usize,
+}
+
+impl MessageBuf {
+    /// Validate `bytes` as [`MessageView::parse`] does, with its errors,
+    /// and keep them without copying.
+    pub fn parse(bytes: Vec<u8>) -> Result<Self, WireError> {
+        let MessageView {
+            header,
+            answers_off,
+            authority_off,
+            additional_off,
+            ..
+        } = MessageView::parse(&bytes)?;
+        Ok(MessageBuf {
+            bytes,
+            header,
+            answers_off,
+            authority_off,
+            additional_off,
+        })
+    }
+
+    /// The borrowed view of the validated bytes.
+    pub fn view(&self) -> MessageView<'_> {
+        MessageView {
+            msg: &self.bytes,
+            header: self.header,
+            answers_off: self.answers_off,
+            authority_off: self.authority_off,
+            additional_off: self.additional_off,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -836,6 +881,22 @@ mod tests {
             MessageView::parse(&bytes),
             Err(WireError::TrailingBytes(1))
         ));
+    }
+
+    #[test]
+    fn message_buf_keeps_what_the_view_accepted() {
+        let bytes = response_fixture();
+        let buf = MessageBuf::parse(bytes.clone()).unwrap();
+        let (kept, fresh) = (buf.view(), MessageView::parse(&bytes).unwrap());
+        assert_eq!(kept.header(), fresh.header());
+        assert_eq!(kept.to_message(), fresh.to_message());
+        assert_eq!(kept.first_a_answer(), fresh.first_a_answer());
+        let mut trailing = bytes;
+        trailing.push(0);
+        for junk in [trailing, vec![0; 5], vec![0xff; 12]] {
+            let err = MessageView::parse(&junk).unwrap_err();
+            assert_eq!(MessageBuf::parse(junk), Err(err));
+        }
     }
 
     #[test]

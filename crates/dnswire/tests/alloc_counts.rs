@@ -3,6 +3,7 @@
 //! is bounded so that a regression in name compression shows. A name is
 //! one allocation however it is made, an owned decode allocates only what
 //! it keeps, and the stub fleet's zone lookup allocates nothing to miss.
+//! Parsing a name never asks for more than one name's worth of heap.
 
 use dnswire::view::MessageView;
 use dnswire::zone::{Zone, ZoneLookup};
@@ -21,6 +22,14 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// The `realloc` calls among them.
     static REALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// The largest block any of them asked for, in octets.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Note a request for a block of `size` octets.
+fn tally(size: usize) {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|n| n.set(n.get().max(size)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -28,7 +37,7 @@ thread_local! {
 // const-initialised thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        tally(layout.size());
         // SAFETY: the caller meets `GlobalAlloc::alloc`'s contract for `layout`.
         unsafe { System.alloc(layout) }
     }
@@ -37,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        tally(new_size);
         let _ = REALLOCS.try_with(|n| n.set(n.get() + 1));
         // SAFETY: the caller meets `GlobalAlloc::realloc`'s contract: `ptr`
         // came from this allocator (so from `System`) with `layout`.
@@ -47,6 +56,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// The largest block, in octets, that `f` asked the allocator for.
+fn largest_block_during(f: impl FnOnce()) -> usize {
+    let outer = LARGEST.with(|n| n.replace(0));
+    f();
+    LARGEST.with(|n| n.replace(outer.max(n.get())))
+}
 
 /// `(allocations, reallocations)` during `f`. A reallocation counts in
 /// both, so the first figure bounds every block `f` may have taken, and a
@@ -135,6 +151,22 @@ fn a_name_is_one_allocation() {
     let copy = heap_calls_during(|| assert_eq!(qname.to_name(), name));
     assert_eq!(copy, (1, 0), "NameRef::to_name");
     assert_eq!(heap_calls_during(|| drop(Name::root().clone())), (0, 0));
+}
+
+#[test]
+fn a_mebibyte_name_is_refused_within_one_names_worth_of_heap() {
+    // 2^19 one-octet labels: the whole copy would be 1 MiB + 1 octets.
+    let text = "a.".repeat(1 << 19);
+    let largest = largest_block_during(|| {
+        assert_eq!(
+            Name::parse(&text),
+            Err(dnswire::WireError::NameTooLong((1 << 20) + 1))
+        );
+    });
+    assert!(
+        largest <= 255,
+        "Name::parse asked for a {largest}-octet block"
+    );
 }
 
 #[test]

@@ -7,7 +7,7 @@
 
 use crate::error::{DnsTransport, QueryError, QueryReply, TransportInfo};
 use crate::responder::DnsResponder;
-use dnswire::{frame_message, FrameDecoder, Message};
+use dnswire::{frame_message, FrameDecoder, Message, MessageBuf};
 use netsim::{Conn, Network, PeerInfo, Service, ServiceCtx, SimDuration, StreamHandler};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -35,15 +35,15 @@ pub fn do53_udp_query(
         match net.udp_query(src, resolver, crate::DO53_PORT, &bytes, Some(timeout)) {
             Ok(reply) => {
                 total += reply.elapsed;
-                let message = Message::decode(&reply.bytes)?;
-                if message.header.truncated {
+                let frame = MessageBuf::parse(reply.bytes)?;
+                if frame.view().header().truncated {
                     // Fall back to TCP for the full answer.
                     let mut tcp = do53_tcp_query(net, src, resolver, query, timeout)?;
                     tcp.latency += total;
                     return Ok(tcp);
                 }
                 return Ok(QueryReply {
-                    message,
+                    frame,
                     latency: total,
                     transport: TransportInfo::clear(DnsTransport::Do53Udp),
                 });
@@ -113,9 +113,8 @@ impl Do53TcpConn {
         let Some(frame) = self.decoder.next_message() else {
             return Err(QueryError::Protocol("no complete response frame".into()));
         };
-        let message = Message::decode(&frame)?;
         Ok(QueryReply {
-            message,
+            frame: MessageBuf::parse(frame)?,
             latency: self.conn.elapsed() - before,
             transport: TransportInfo {
                 connection_reused: self.conn.round_trips() > 2,
@@ -275,8 +274,8 @@ mod tests {
         let q = builder::query(1, "www.zone.example", RecordType::A).unwrap();
         let reply =
             do53_udp_query(&mut net, client, server, &q, SimDuration::from_secs(5), 0).unwrap();
-        assert_eq!(reply.message.rcode(), Rcode::NoError);
-        assert_eq!(reply.message.answers.len(), 1);
+        assert_eq!(reply.view().rcode(), Rcode::NoError);
+        assert_eq!(reply.view().answers().count(), 1);
         assert_eq!(reply.transport.protocol, DnsTransport::Do53Udp);
         assert!(reply.latency > SimDuration::ZERO);
     }
@@ -289,8 +288,8 @@ mod tests {
             do53_udp_query(&mut net, client, server, &q, SimDuration::from_secs(5), 0).unwrap();
         // Fallback delivered the full answer over TCP.
         assert_eq!(reply.transport.protocol, DnsTransport::Do53Tcp);
-        assert_eq!(reply.message.answers.len(), 1);
-        assert!(!reply.message.header.truncated);
+        assert_eq!(reply.view().answers().count(), 1);
+        assert!(!reply.view().header().truncated);
     }
 
     #[test]
@@ -300,7 +299,7 @@ mod tests {
         let reply =
             do53_udp_query(&mut net, client, server, &q, SimDuration::from_secs(5), 0).unwrap();
         assert_eq!(reply.transport.protocol, DnsTransport::Do53Udp);
-        assert_eq!(reply.message.answers.len(), 1);
+        assert_eq!(reply.view().answers().count(), 1);
     }
 
     #[test]
@@ -312,8 +311,8 @@ mod tests {
         for id in 0..5u16 {
             let q = builder::query(id, "www.zone.example", RecordType::A).unwrap();
             let reply = conn.query(&mut net, &q).unwrap();
-            assert_eq!(reply.message.id(), id);
-            assert_eq!(reply.message.answers.len(), 1);
+            assert_eq!(reply.view().id(), id);
+            assert_eq!(reply.view().answers().count(), 1);
         }
         // connect (1) + 5 queries = 6 round trips total.
         assert_eq!(conn.conn.round_trips(), 6);

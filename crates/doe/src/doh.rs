@@ -1,10 +1,10 @@
 //! DNS over HTTPS (RFC 8484): URI templates, GET/POST forms, bootstrap
 //! resolution, Strict-profile-only TLS.
 
-use crate::error::{DnsTransport, QueryError, QueryReply, TransportInfo, WireReply};
+use crate::error::{DnsTransport, QueryError, QueryReply, TransportInfo};
 use crate::responder::DnsResponder;
 use crate::tap::{FlowTap, TapDirection};
-use dnswire::{builder, Message, PaddingPolicy, Rcode, RecordType};
+use dnswire::{builder, Message, MessageBuf, PaddingPolicy, Rcode, RecordType};
 use httpsim::{base64url_decode, base64url_encode, Request, Response, UriTemplate};
 use netsim::{Network, PeerInfo, Service, ServiceCtx, SimDuration, StreamHandler};
 use rand::Rng;
@@ -108,20 +108,12 @@ impl DohClient {
                     SimDuration::from_secs(5),
                     1,
                 )?;
-                let addr = reply
-                    .message
-                    .answers
-                    .iter()
-                    .find_map(|rr| match &rr.rdata {
-                        dnswire::RData::A(a) => Some(*a),
-                        _ => None,
-                    })
-                    .ok_or_else(|| {
-                        QueryError::Protocol(format!(
-                            "bootstrap for {} returned no address",
-                            self.template.host()
-                        ))
-                    })?;
+                let addr = reply.view().first_a_answer().ok_or_else(|| {
+                    QueryError::Protocol(format!(
+                        "bootstrap for {} returned no address",
+                        self.template.host()
+                    ))
+                })?;
                 self.bootstrap_cache = Some(addr);
                 Ok((addr, reply.latency))
             }
@@ -161,21 +153,6 @@ impl DohClient {
         Ok(reply)
     }
 
-    /// One-shot query on a fresh session, returning the raw DNS payload
-    /// (see [`DohSession::query_wire`]).
-    pub fn query_once_wire(
-        &mut self,
-        net: &mut Network,
-        src: Ipv4Addr,
-        query: &Message,
-    ) -> Result<WireReply, QueryError> {
-        let mut session = self.session(net, src)?;
-        let mut reply = session.query_wire(net, query)?;
-        reply.latency = session.take_elapsed();
-        session.close(net);
-        Ok(reply)
-    }
-
     /// Drop the cached bootstrap address (e.g. to re-resolve).
     pub fn clear_bootstrap(&mut self) {
         self.bootstrap_cache = None;
@@ -210,33 +187,8 @@ impl DohSession {
         self.tap.take()
     }
 
-    /// Send one query.
+    /// Send one query; the response body is validated on receipt.
     pub fn query(&mut self, net: &mut Network, query: &Message) -> Result<QueryReply, QueryError> {
-        let reply = self.query_wire(net, query)?;
-        let message = Message::decode(&reply.frame)?;
-        Ok(QueryReply {
-            message,
-            latency: reply.latency,
-            transport: TransportInfo {
-                protocol: DnsTransport::Doh,
-                verify: Some(self.stream.verify_result().clone()),
-                resumed: self.stream.resumed(),
-                connection_reused: self.queries_sent > 1,
-            },
-        })
-    }
-
-    /// Send one query, returning the raw DNS payload from the HTTP body
-    /// without decoding it.
-    ///
-    /// The discovery scanner classifies the reply through `dnswire`'s
-    /// borrowing [`MessageView`](dnswire::MessageView) instead of the owned
-    /// decoder, so it only needs the bytes.
-    pub fn query_wire(
-        &mut self,
-        net: &mut Network,
-        query: &Message,
-    ) -> Result<WireReply, QueryError> {
         let key = u64::from(query.header.id) | (u64::from(self.queries_sent) << 16);
         let wire = match self.policy.query_block(key) {
             Some(block) => {
@@ -277,9 +229,15 @@ impl DohSession {
                 response.body.len(),
             );
         }
-        Ok(WireReply {
-            frame: response.body,
+        Ok(QueryReply {
+            frame: MessageBuf::parse(response.body)?,
             latency,
+            transport: TransportInfo {
+                protocol: DnsTransport::Doh,
+                verify: Some(self.stream.verify_result().clone()),
+                resumed: self.stream.resumed(),
+                connection_reused: self.queries_sent > 1,
+            },
         })
     }
 
@@ -589,8 +547,8 @@ mod tests {
             );
             let q = builder::query(0, "m1.probe.example", RecordType::A).unwrap();
             let reply = doh.query_once(&mut w.net, w.client, &q).unwrap();
-            assert_eq!(reply.message.rcode(), Rcode::NoError, "{method:?}");
-            assert_eq!(reply.message.answers.len(), 1);
+            assert_eq!(reply.view().rcode(), Rcode::NoError, "{method:?}");
+            assert_eq!(reply.view().answers().count(), 1);
             assert_eq!(reply.transport.protocol, DnsTransport::Doh);
         }
     }
@@ -609,7 +567,7 @@ mod tests {
         for id in 0..5u16 {
             let q = builder::query(id, &format!("s{id}.probe.example"), RecordType::A).unwrap();
             let reply = session.query(&mut w.net, &q).unwrap();
-            assert_eq!(reply.message.answers.len(), 1);
+            assert_eq!(reply.view().answers().count(), 1);
             assert!(reply.latency < setup);
         }
         session.close(&mut w.net);
@@ -651,7 +609,7 @@ mod tests {
             )
             .unwrap();
             match session.query(&mut w.net, &q) {
-                Ok(reply) if reply.message.rcode() == Rcode::ServFail => servfail += 1,
+                Ok(reply) if reply.view().rcode() == Rcode::ServFail => servfail += 1,
                 Ok(_) => ok += 1,
                 Err(e) => panic!("unexpected transport error: {e}"),
             }

@@ -1,9 +1,9 @@
 //! DNS over TLS (RFC 7858): port 853, RFC 1035 framing inside TLS.
 
-use crate::error::{DnsTransport, QueryError, QueryReply, TransportInfo, WireReply};
+use crate::error::{DnsTransport, QueryError, QueryReply, TransportInfo};
 use crate::responder::DnsResponder;
 use crate::tap::{FlowTap, TapDirection};
-use dnswire::{frame_message, FrameDecoder, Message, PaddingPolicy};
+use dnswire::{frame_message, FrameDecoder, Message, MessageBuf, PaddingPolicy};
 use netsim::{Network, SimDuration};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -96,8 +96,8 @@ impl DotSession {
         self.tap.take()
     }
 
-    /// Send one query over the session: pad, encode and frame it, exchange
-    /// it through [`Self::query_wire`], then decode the reply.
+    /// Send one query over the session: pad, encode and frame it, then
+    /// exchange it through [`Self::query_wire`].
     pub fn query(&mut self, net: &mut Network, query: &Message) -> Result<QueryReply, QueryError> {
         let key = u64::from(query.header.id) | (u64::from(self.queries_sent) << 16);
         let wire = match self.policy.query_block(key) {
@@ -108,34 +108,21 @@ impl DotSession {
             }
             None => query.encode()?,
         };
-        let reply = self.query_wire(net, &frame_message(&wire)?)?;
-        let message = Message::decode(&reply.frame)?;
-        Ok(QueryReply {
-            message,
-            latency: reply.latency,
-            transport: TransportInfo {
-                protocol: DnsTransport::Dot,
-                verify: Some(self.stream.verify_result().clone()),
-                resumed: self.stream.resumed(),
-                connection_reused: self.queries_sent > 1,
-            },
-        })
+        self.query_wire(net, &frame_message(&wire)?)
     }
 
-    /// Send pre-framed wire bytes over the session, returning the raw
-    /// response frame without decoding it.
+    /// Send pre-framed wire bytes over the session and validate the
+    /// response frame.
     ///
     /// This is the scanner's bulk-probe path: the caller stamps a
-    /// pre-encoded, pre-padded query template (so no per-query message
-    /// build, padding or encode happens here) and classifies the reply
-    /// through `dnswire`'s borrowing [`MessageView`](dnswire::MessageView)
-    /// instead of the owned decoder. Padding must already be baked into
-    /// `framed`; [`Self::query`] remains the convenient owned-message API.
+    /// pre-encoded, pre-padded query template, so no per-query message
+    /// build, padding or encode happens here. Padding must already be
+    /// baked into `framed`; [`Self::query`] builds it from a message.
     pub fn query_wire(
         &mut self,
         net: &mut Network,
         framed: &[u8],
-    ) -> Result<WireReply, QueryError> {
+    ) -> Result<QueryReply, QueryError> {
         let before = self.stream.elapsed();
         if let Some(tap) = self.tap.as_mut() {
             tap.record(before, TapDirection::Up, framed.len());
@@ -152,9 +139,15 @@ impl DotSession {
             // The observer sees the response with its 2-byte length prefix.
             tap.record(self.stream.elapsed(), TapDirection::Down, frame.len() + 2);
         }
-        Ok(WireReply {
-            frame,
+        Ok(QueryReply {
+            frame: MessageBuf::parse(frame)?,
             latency: self.stream.elapsed() - before,
+            transport: TransportInfo {
+                protocol: DnsTransport::Dot,
+                verify: Some(self.stream.verify_result().clone()),
+                resumed: self.stream.resumed(),
+                connection_reused: self.queries_sent > 1,
+            },
         })
     }
 
@@ -276,8 +269,8 @@ mod tests {
         let reply = dot
             .query_once(&mut net, client, resolver, Some("cloudflare-dns.com"), &q)
             .unwrap();
-        assert_eq!(reply.message.rcode(), Rcode::NoError);
-        assert_eq!(reply.message.answers.len(), 1);
+        assert_eq!(reply.view().rcode(), Rcode::NoError);
+        assert_eq!(reply.view().answers().count(), 1);
         assert_eq!(reply.transport.protocol, DnsTransport::Dot);
         assert_eq!(reply.transport.verify, Some(Ok(())));
     }
@@ -294,7 +287,7 @@ mod tests {
         for id in 0..20u16 {
             let q = builder::query(id, &format!("q{id}.probe.example"), RecordType::A).unwrap();
             let reply = session.query(&mut net, &q).unwrap();
-            assert_eq!(reply.message.answers.len(), 1);
+            assert_eq!(reply.view().answers().count(), 1);
             latencies.push(reply.latency);
         }
         // Reused queries are cheaper than session setup (which has 2 RTTs).
@@ -316,7 +309,7 @@ mod tests {
                 .unwrap();
             session.enable_tap();
             let reply = session.query(&mut net, &q).unwrap();
-            assert_eq!(reply.message.rcode(), Rcode::NoError);
+            assert_eq!(reply.view().rcode(), Rcode::NoError);
             let tap = session.take_tap().unwrap();
             session.close(&mut net);
             assert_eq!(tap.messages[0].dir, TapDirection::Up);
@@ -344,7 +337,7 @@ mod tests {
         let q = builder::query(9, "r.probe.example", RecordType::A).unwrap();
         let reply = s2.query(&mut net, &q).unwrap();
         assert!(reply.transport.resumed);
-        assert_eq!(reply.message.answers.len(), 1);
+        assert_eq!(reply.view().answers().count(), 1);
         s2.close(&mut net);
     }
 

@@ -1,6 +1,6 @@
 //! Client-side query outcomes shared by every transport.
 
-use dnswire::{Message, WireError};
+use dnswire::{MessageBuf, MessageView, WireError};
 use netsim::{ConnectError, ConnectErrorKind, SimDuration, UdpError};
 use std::fmt;
 use tlssim::{CertError, TlsError};
@@ -58,31 +58,24 @@ impl TransportInfo {
     }
 }
 
-/// A successful DNS exchange.
+/// A successful DNS exchange, whatever the transport.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryReply {
-    /// The decoded response (its RCODE may still be an error — rcode
-    /// classification is the *measurement's* job, Table 4).
-    pub message: Message,
+    /// The response as it arrived, validated on receipt (its RCODE may
+    /// still be an error — rcode classification is the *measurement's*
+    /// job, Table 4).
+    pub frame: MessageBuf,
     /// End-to-end latency charged for this query.
     pub latency: SimDuration,
     /// Transport facts.
     pub transport: TransportInfo,
 }
 
-/// Raw reply to a wire-level query: the unparsed response payload.
-///
-/// Produced by the scanners' bulk-probe paths
-/// ([`DotSession::query_wire`](crate::dot::DotSession::query_wire),
-/// [`DohSession::query_wire`](crate::doh::DohSession::query_wire)), which
-/// skip the owned [`Message`] decode so callers can classify replies with
-/// `dnswire`'s borrowing `MessageView` instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireReply {
-    /// DNS message bytes (transport framing already stripped).
-    pub frame: Vec<u8>,
-    /// Time charged for this exchange.
-    pub latency: SimDuration,
+impl QueryReply {
+    /// The response, read in place.
+    pub fn view(&self) -> MessageView<'_> {
+        self.frame.view()
+    }
 }
 
 /// A failed DNS exchange.

@@ -43,7 +43,8 @@
 //!
 //! let q = builder::query(1, "www.example.org", RecordType::A).unwrap();
 //! let reply = do53_udp_query(&mut net, client, server, &q, SimDuration::from_secs(5), 1).unwrap();
-//! assert_eq!(reply.message.rcode(), Rcode::NoError);
+//! assert_eq!(reply.view().rcode(), Rcode::NoError);
+//! assert_eq!(reply.view().first_a_answer(), Some("203.0.113.1".parse().unwrap()));
 //! ```
 
 pub mod do53;
@@ -59,7 +60,7 @@ pub mod tap;
 pub use do53::{do53_tcp_query, do53_udp_query, Do53TcpConn, Do53TcpService, Do53UdpService};
 pub use doh::{Bootstrap, DohBackend, DohClient, DohMethod, DohServerService, DohSession};
 pub use dot::{DotClient, DotServerService, DotSession};
-pub use error::{DnsTransport, QueryError, QueryReply, TransportInfo, WireReply};
+pub use error::{DnsTransport, QueryError, QueryReply, TransportInfo};
 pub use machine::{StubMachine, StubMachineStats, StubPacing};
 pub use recursive::{RecursiveConfig, RecursiveResolver, UpstreamMap};
 pub use responder::{

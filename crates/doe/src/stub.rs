@@ -20,7 +20,7 @@ use crate::do53::{do53_udp_query, Do53TcpConn};
 use crate::doh::{Bootstrap, DohClient, DohMethod, DohSession};
 use crate::dot::{DotClient, DotSession};
 use crate::error::{DnsTransport, QueryError, QueryReply, TransportInfo};
-use dnswire::{builder, Message, RecordType};
+use dnswire::{builder, Message, Name, RecordType};
 use httpsim::UriTemplate;
 use netsim::{Network, SimDuration};
 use rand::Rng;
@@ -220,11 +220,11 @@ impl StubResolver {
         &mut self,
         net: &mut Network,
         src: Ipv4Addr,
-        name: &str,
+        name: Name,
         rtype: RecordType,
     ) -> Result<QueryReply, QueryError> {
         let id = net.rng().gen();
-        let query = builder::query(id, name, rtype)?;
+        let query = builder::query_for(id, name, rtype);
         // One transparent retry on a fresh session if a pooled session
         // turns out to be dead.
         let had_pooled = self.has_session();
@@ -316,7 +316,7 @@ mod tests {
     use crate::dot::DotServerService;
     use crate::responder::{AuthoritativeServer, DnsResponder};
     use dnswire::zone::Zone;
-    use dnswire::{Name, RData, Rcode};
+    use dnswire::{RData, Rcode};
     use netsim::{HostMeta, NetworkConfig};
     use std::sync::Arc;
     use tlssim::{CaHandle, KeyId, TlsServerConfig};
@@ -390,6 +390,10 @@ mod tests {
         }
     }
 
+    fn name(text: &str) -> Name {
+        Name::parse(text).unwrap()
+    }
+
     fn stub(w: &World, profile: StubProfile) -> StubResolver {
         StubResolver::new(StubConfig {
             resolver: w.resolver,
@@ -414,11 +418,11 @@ mod tests {
                 .resolve(
                     &mut w.net,
                     w.client,
-                    &format!("q{i}.probe.example"),
+                    name(&format!("q{i}.probe.example")),
                     RecordType::A,
                 )
                 .unwrap();
-            assert_eq!(reply.message.rcode(), Rcode::NoError);
+            assert_eq!(reply.view().rcode(), Rcode::NoError);
             assert_eq!(reply.transport.protocol, DnsTransport::Dot);
         }
         assert_eq!(stub.reused_queries(), 3);
@@ -434,7 +438,7 @@ mod tests {
             },
         );
         let err = stub
-            .resolve(&mut w.net, w.client, "x.probe.example", RecordType::A)
+            .resolve(&mut w.net, w.client, name("x.probe.example"), RecordType::A)
             .unwrap_err();
         assert!(err.is_cert_failure());
     }
@@ -449,7 +453,7 @@ mod tests {
             },
         );
         let reply = stub
-            .resolve(&mut w.net, w.client, "x.probe.example", RecordType::A)
+            .resolve(&mut w.net, w.client, name("x.probe.example"), RecordType::A)
             .unwrap();
         // Still DoT — bad cert alone doesn't force clear-text fallback.
         assert_eq!(reply.transport.protocol, DnsTransport::Dot);
@@ -466,10 +470,10 @@ mod tests {
             },
         );
         let reply = stub
-            .resolve(&mut w.net, w.client, "y.probe.example", RecordType::A)
+            .resolve(&mut w.net, w.client, name("y.probe.example"), RecordType::A)
             .unwrap();
         assert_eq!(reply.transport.protocol, DnsTransport::Do53Udp);
-        assert_eq!(reply.message.answers.len(), 1);
+        assert_eq!(reply.view().answers().count(), 1);
     }
 
     #[test]
@@ -482,7 +486,7 @@ mod tests {
             },
         );
         assert!(stub
-            .resolve(&mut w.net, w.client, "z.probe.example", RecordType::A)
+            .resolve(&mut w.net, w.client, name("z.probe.example"), RecordType::A)
             .is_err());
     }
 
@@ -491,7 +495,7 @@ mod tests {
         let mut w = world(true, false);
         let mut stub = stub(&w, StubProfile::ClearText);
         let reply = stub
-            .resolve(&mut w.net, w.client, "c.probe.example", RecordType::A)
+            .resolve(&mut w.net, w.client, name("c.probe.example"), RecordType::A)
             .unwrap();
         assert_eq!(reply.transport.protocol, DnsTransport::Do53Udp);
     }
@@ -505,7 +509,7 @@ mod tests {
                 .resolve(
                     &mut w.net,
                     w.client,
-                    &format!("t{i}.probe.example"),
+                    name(&format!("t{i}.probe.example")),
                     RecordType::A,
                 )
                 .unwrap();
@@ -523,13 +527,13 @@ mod tests {
                 auth_name: "dns.quad9.net".into(),
             },
         );
-        stub.resolve(&mut w.net, w.client, "a.probe.example", RecordType::A)
+        stub.resolve(&mut w.net, w.client, name("a.probe.example"), RecordType::A)
             .unwrap();
         stub.expire_session(&mut w.net);
         let reply = stub
-            .resolve(&mut w.net, w.client, "b.probe.example", RecordType::A)
+            .resolve(&mut w.net, w.client, name("b.probe.example"), RecordType::A)
             .unwrap();
-        assert_eq!(reply.message.rcode(), Rcode::NoError);
+        assert_eq!(reply.view().rcode(), Rcode::NoError);
         // Second session resumed from the cached ticket.
         assert!(reply.transport.resumed);
     }

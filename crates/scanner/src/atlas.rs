@@ -52,7 +52,7 @@ pub fn local_resolver_probe(
             continue;
         };
         if let Ok(reply) = dot.query_once(net, probe.ip, probe.local_resolver, None, &query) {
-            if reply.message.rcode() == Rcode::NoError {
+            if reply.view().rcode() == Rcode::NoError {
                 capable += 1;
             }
         }

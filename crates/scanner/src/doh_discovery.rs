@@ -2,9 +2,8 @@
 //! grep for common DoH paths → validate candidates with real DoH queries
 //! → deduplicate into services → compare against the public list.
 
-use dnswire::view::MessageView;
 use dnswire::{builder, Rcode, RecordType};
-use doe_protocols::{Bootstrap, DohClient, DohMethod};
+use doe_protocols::{Bootstrap, DohClient, DohMethod, QueryReply};
 use httpsim::uri::COMMON_DOH_PATHS;
 use httpsim::{UriTemplate, Url};
 use netsim::telemetry::{Labels, Span};
@@ -102,15 +101,13 @@ pub fn discover_doh(
         let span = Span::begin(net.charged().as_micros());
         let reply = builder::query(crate::txid(i), &qname, RecordType::A)
             .ok()
-            .and_then(|q| client.query_once_wire(net, source, &q).ok());
+            .and_then(|q| client.query_once(net, source, &q).ok());
         let elapsed = span.elapsed_us(net.charged().as_micros());
         net.metrics_mut().observe(probe_us, elapsed);
-        // The raw HTTP body is classified through the borrowing view — a
-        // body that fails wire validation does not count as DoH. The owned
-        // decode inside `query_once` is this same parse plus a copy.
-        let view = reply
-            .as_ref()
-            .and_then(|reply| MessageView::parse(&reply.frame).ok());
+        // The HTTP body is validated on receipt — a body that fails wire
+        // validation is an error and does not count as DoH — and read in
+        // place through its view.
+        let view = reply.as_ref().map(QueryReply::view);
         let works = view.is_some();
         if works {
             net.metrics_mut()
@@ -159,7 +156,102 @@ pub fn discover_doh(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dnswire::zone::Zone;
+    use dnswire::{Name, RData};
+    use doe_protocols::doh::DNS_MESSAGE_TYPE;
+    use doe_protocols::responder::{AuthoritativeServer, DnsResponder};
+    use doe_protocols::{Do53UdpService, DohBackend, DohServerService};
+    use httpsim::Response;
+    use netsim::service::FnStreamService;
+    use netsim::{HostMeta, NetworkConfig};
+    use std::sync::Arc;
+    use tlssim::{CaHandle, KeyId, TlsServerConfig, TlsServerService};
     use worldgen::{World, WorldConfig};
+
+    /// One zone answering `name` and everything below it with `addr`.
+    fn zone(name: &str, addr: Ipv4Addr) -> Zone {
+        let apex = Name::parse(name).unwrap();
+        let mut zone = Zone::new(apex.clone());
+        zone.add_record(&apex, 300, RData::A(addr));
+        zone.add_record(&apex.prepend("*").unwrap(), 300, RData::A(addr));
+        zone
+    }
+
+    #[test]
+    fn a_200_with_a_body_that_is_not_dns_does_not_work() {
+        let now = DateStamp::from_ymd(2019, 2, 1);
+        let mut net = Network::new(NetworkConfig::default(), 23);
+        let [source, bootstrap, good, junk]: [Ipv4Addr; 4] =
+            ["198.51.100.2", "192.0.2.53", "203.0.113.10", "203.0.113.20"]
+                .map(|ip| ip.parse().unwrap());
+        for ip in [source, bootstrap, good, junk] {
+            net.add_host(HostMeta::new(ip));
+        }
+        let expected: Ipv4Addr = "203.0.113.99".parse().unwrap();
+        let hosts = vec![zone("good.example", good), zone("junk.example", junk)];
+        let boot: Arc<dyn DnsResponder> = Arc::new(AuthoritativeServer::new(hosts));
+        net.bind_udp(bootstrap, 53, Arc::new(Do53UdpService::new(boot)));
+
+        let ca = CaHandle::new("Root CA", KeyId(1), now + -365, 3650);
+        let mut store = TrustStore::new();
+        store.add(ca.authority());
+        let cert = |host: &str, key| {
+            let leaf = ca.issue(host, vec![], KeyId(key), key, now + -10, now + 300);
+            TlsServerConfig::new(vec![leaf], KeyId(key))
+        };
+        let probe = vec![zone("probe.example", expected)];
+        let probe: Arc<dyn DnsResponder> = Arc::new(AuthoritativeServer::new(probe));
+        net.bind_tcp(
+            good,
+            443,
+            Arc::new(DohServerService::new(
+                cert("good.example", 2),
+                vec!["/dns-query".into()],
+                DohBackend::Local(probe),
+            )),
+        );
+        // HTTP 200 with the DoH media type, but the body is an empty
+        // response header and one stray octet.
+        let body = b"\xde\xad\x81\x80\0\0\0\0\0\0\0\0\0".to_vec();
+        let reply = Response::ok(DNS_MESSAGE_TYPE, body).encode();
+        net.bind_tcp(
+            junk,
+            443,
+            Arc::new(TlsServerService::new(
+                cert("junk.example", 3),
+                Arc::new(FnStreamService::new(
+                    move |_c, _p, _d: &[u8]| reply.clone(),
+                    "junk-doh",
+                )),
+            )),
+        );
+
+        let corpus = [
+            "https://junk.example/dns-query".to_string(),
+            "https://good.example/dns-query".to_string(),
+        ];
+        let report = discover_doh(
+            &mut net,
+            source,
+            &corpus,
+            bootstrap,
+            "probe.example",
+            expected,
+            &[],
+            &store,
+            now,
+        );
+        assert_eq!(report.candidates, 2);
+        let works: Vec<(bool, bool)> = report
+            .observations
+            .iter()
+            .map(|o| (o.works, o.correct))
+            .collect();
+        assert_eq!(works, [(false, false), (true, true)]);
+        assert_eq!(report.valid_urls, 1);
+        let services: Vec<&str> = report.services.iter().map(|t| t.host()).collect();
+        assert_eq!(services, ["good.example"]);
+    }
 
     #[test]
     fn discovery_finds_seventeen_services_two_beyond_list() {

@@ -11,7 +11,6 @@
 
 use crate::observation::{CertClass, ObservationTable};
 use crate::provider::provider_key;
-use dnswire::view::MessageView;
 use dnswire::{builder, frame_message, Rcode, RecordType, WireError};
 use doe_protocols::dot::DotClient;
 use netsim::telemetry::{CounterId, Labels, Registry, Span};
@@ -185,9 +184,10 @@ impl ProbeTemplate {
 }
 
 /// Probe one candidate: TLS session, stamped query frame, chain
-/// classification. The reply is parsed with the borrowing [`MessageView`];
-/// a reply that fails its wire validation, the same walk the owned decoder
-/// runs, classifies as [`VerifyOutcome::NotDns`].
+/// classification. The reply is read in place through its
+/// [`MessageView`](dnswire::MessageView); a reply that fails its wire validation on receipt, the
+/// same walk the owned decoder runs, classifies as
+/// [`VerifyOutcome::NotDns`].
 fn verify_one(
     net: &mut Network,
     source: Ipv4Addr,
@@ -219,15 +219,15 @@ fn verify_one(
             let cert_status = Some(classify_chain(&chain, store, now));
             let provider = chain.first().map(|leaf| provider_key(&leaf.subject_cn));
             let (outcome, answer_correct) = match session.query_wire(net, frame) {
-                Ok(reply) => match MessageView::parse(&reply.frame) {
-                    Ok(view) if view.rcode() == Rcode::NoError => {
-                        let correct = view.first_a_answer() == Some(expected_a);
+                Ok(reply) => match reply.view().rcode() {
+                    Rcode::NoError => {
+                        let correct = reply.view().first_a_answer() == Some(expected_a);
                         (VerifyOutcome::OpenResolver, Some(correct))
                     }
-                    Ok(view) => (VerifyOutcome::AnsweredError(view.rcode()), None),
-                    Err(_) => (VerifyOutcome::NotDns, None),
+                    rcode => (VerifyOutcome::AnsweredError(rcode), None),
                 },
                 Err(doe_protocols::QueryError::Tls(_)) => (VerifyOutcome::NotTls, None),
+                // A reply that fails wire validation is `QueryError::Wire`.
                 Err(_) => (VerifyOutcome::NotDns, None),
             };
             session.close(net);
@@ -389,13 +389,13 @@ pub fn verify_resolvers_sharded(
 mod tests {
     use super::*;
     use dnswire::zone::Zone;
-    use dnswire::{Message, Name, RData};
+    use dnswire::{Message, MessageView, Name, RData};
     use doe_protocols::responder::{AuthoritativeServer, RefusingResponder};
     use doe_protocols::DotServerService;
     use netsim::service::FnStreamService;
     use netsim::{HostMeta, NetworkConfig};
     use std::sync::Arc;
-    use tlssim::{CaHandle, KeyId, TlsServerConfig};
+    use tlssim::{CaHandle, KeyId, TlsServerConfig, TlsServerService};
 
     fn now() -> DateStamp {
         DateStamp::from_ymd(2019, 2, 1)
@@ -465,6 +465,30 @@ mod tests {
                 "junk",
             )),
         );
+        // Host D: TLS with a valid cert, but the framed reply is not DNS
+        // (an empty response header and one stray octet).
+        let d: Ipv4Addr = "10.0.0.4".parse().unwrap();
+        net.add_host(HostMeta::new(d));
+        let leaf = ca.issue(
+            "dns.oddprov.net",
+            vec![],
+            KeyId(4),
+            3,
+            now() + -10,
+            now() + 300,
+        );
+        let junk = frame_message(b"\xde\xad\x81\x80\0\0\0\0\0\0\0\0\0").unwrap();
+        net.bind_tcp(
+            d,
+            853,
+            Arc::new(TlsServerService::new(
+                TlsServerConfig::new(vec![leaf], KeyId(4)),
+                Arc::new(FnStreamService::new(
+                    move |_c, _p, _d: &[u8]| junk.clone(),
+                    "junk-dns",
+                )),
+            )),
+        );
         Fixture {
             net,
             src,
@@ -490,7 +514,7 @@ mod tests {
     #[test]
     fn classifies_open_refusing_and_junk() {
         let mut f = fixture();
-        let obs = run(&mut f, &["10.0.0.1", "10.0.0.2", "10.0.0.3"]);
+        let obs = run(&mut f, &["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"]);
         assert_eq!(obs.row(0).outcome, VerifyOutcome::OpenResolver);
         assert_eq!(obs.row(0).cert, Some(CertClass::Valid));
         assert_eq!(obs.row(0).provider, Some("goodprov.net"));
@@ -503,6 +527,10 @@ mod tests {
         assert_eq!(obs.row(1).provider, Some("FGT60D000"));
         assert!(!obs.row(1).is_open_resolver());
         assert!(matches!(obs.row(2).outcome, VerifyOutcome::NotTls));
+        // A reply that fails wire validation on receipt is not DNS.
+        assert_eq!(obs.row(3).outcome, VerifyOutcome::NotDns);
+        assert_eq!(obs.row(3).cert, Some(CertClass::Valid));
+        assert_eq!(obs.row(3).answer_correct, None);
         assert_eq!(obs.open_resolvers(), 1);
     }
 

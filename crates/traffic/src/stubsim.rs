@@ -75,6 +75,9 @@ pub struct StubWorld {
     pub store: TrustStore,
     /// Simulated calendar date (certificate validity).
     pub now: DateStamp,
+    /// Apex of the zone the resolver serves, under which every stub
+    /// names its queries.
+    pub apex: Name,
 }
 
 /// Per-event-kind scheduler load, merged across shards. Sums and maxima
@@ -244,7 +247,12 @@ pub fn build_stub_world(seed: u64, metrics: bool) -> StubWorld {
             .from_src(SrcMatch::Block(Netblock::new(DEAD_BLOCK, 16))),
     );
 
-    StubWorld { net, store, now }
+    StubWorld {
+        net,
+        store,
+        now,
+        apex,
+    }
 }
 
 /// One shard's partial aggregate: pure sums and maxima, so the parent
@@ -273,7 +281,7 @@ pub fn stub_population_sharded(
     let salt = mix_seed(world.net.base_seed(), 0x7374_7562_706f_7075); // "stubpopu"
     let pacing = Arc::new(StubPacing {
         queries_per_client: cfg.queries_per_client,
-        ..StubPacing::default()
+        ..StubPacing::new(world.apex.clone())
     });
     let store = &world.store;
     let now = world.now;

@@ -2,9 +2,9 @@
 //! resolver over clear-text DNS (TCP), Opportunistic DoT and Strict DoH;
 //! classify outcomes; investigate failures.
 
-use dnswire::{builder, Message, Rcode, RecordType};
+use dnswire::{builder, Rcode, RecordType};
 use doe_protocols::dot::DotClient;
-use doe_protocols::{Bootstrap, DohClient, DohMethod, QueryError};
+use doe_protocols::{Bootstrap, DohClient, DohMethod, QueryError, QueryReply};
 use httpsim::{Request, Response, UriTemplate};
 use netsim::sched::{run_machines, EventMachine, Fired, SchedEvent};
 use netsim::telemetry::{HistogramId, Labels};
@@ -212,22 +212,15 @@ impl ReachabilityReport {
 /// The forensic probe set of Figure 7.
 pub const FORENSIC_PORTS: [u16; 10] = [22, 23, 53, 67, 80, 123, 139, 161, 179, 443];
 
-fn classify(result: Result<Message, QueryError>, expected: Ipv4Addr) -> Outcome {
-    match result {
-        Ok(message) => {
-            if message.rcode() != Rcode::NoError {
-                return Outcome::Incorrect;
-            }
-            let got: Option<Ipv4Addr> = message.answers.iter().find_map(|rr| match &rr.rdata {
-                dnswire::RData::A(a) => Some(*a),
-                _ => None,
-            });
-            match got {
-                Some(a) if a == expected => Outcome::Correct,
-                _ => Outcome::Incorrect,
-            }
-        }
-        Err(_) => Outcome::Failed,
+fn classify(result: &Result<QueryReply, QueryError>, expected: Ipv4Addr) -> Outcome {
+    let Ok(reply) = result else {
+        return Outcome::Failed;
+    };
+    let view = reply.view();
+    if view.rcode() == Rcode::NoError && view.first_a_answer() == Some(expected) {
+        Outcome::Correct
+    } else {
+        Outcome::Incorrect
     }
 }
 
@@ -419,12 +412,11 @@ impl ReachState {
                             &q,
                             SimDuration::from_secs(30),
                         )
-                    })
-                    .map(|r| r.message);
+                    });
                 self.cells.push((
                     target.name.clone(),
                     TransportKind::Dns,
-                    classify(result, setup.expected),
+                    classify(&result, setup.expected),
                 ));
             }
             ReachSlot::Dot(dot_addr) => {
@@ -443,7 +435,7 @@ impl ReachState {
                             true;
                     }
                 }
-                let outcome = classify(result.map(|r| r.message), setup.expected);
+                let outcome = classify(&result, setup.expected);
                 if target.name == setup.forensics_on && outcome == Outcome::Failed {
                     self.forensics_due = true;
                 }
@@ -475,7 +467,7 @@ impl ReachState {
                 self.cells.push((
                     target.name.clone(),
                     TransportKind::Doh,
-                    classify(result.map(|r| r.message), setup.expected),
+                    classify(&result, setup.expected),
                 ));
             }
         }

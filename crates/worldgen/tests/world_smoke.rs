@@ -55,10 +55,10 @@ fn clean_client_full_stack_dot_query() {
             &q,
         )
         .unwrap();
-    assert_eq!(reply.message.rcode(), Rcode::NoError);
+    assert_eq!(reply.view().rcode(), Rcode::NoError);
     // The answer matches the wildcard ground truth.
-    match &reply.message.answers[0].rdata {
-        dnswire::RData::A(a) => assert_eq!(*a, w.probe.expected_a),
+    match reply.view().answers().next().unwrap().rdata() {
+        dnswire::RData::A(a) => assert_eq!(a, w.probe.expected_a),
         other => panic!("expected A, got {other:?}"),
     }
     // The authoritative server saw Cloudflare's resolver, not the client.
@@ -104,7 +104,7 @@ fn conflicted_client_fails_cloudflare_dot_but_not_doh() {
         },
     );
     let reply = doh.query_once(&mut w.net, client.ip, &q).unwrap();
-    assert_eq!(reply.message.rcode(), Rcode::NoError);
+    assert_eq!(reply.view().rcode(), Rcode::NoError);
 }
 
 #[test]
@@ -143,7 +143,7 @@ fn intercepted_client_leaks_queries_opportunistically() {
             &q,
         )
         .expect("opportunistic DoT proceeds through the interceptor");
-    assert_eq!(reply.message.rcode(), Rcode::NoError);
+    assert_eq!(reply.view().rcode(), Rcode::NoError);
     // Verification failed with the device's CA name.
     match &reply.transport.verify {
         Some(Err(tlssim::CertError::UntrustedCa { ca_cn: seen })) => {
@@ -224,7 +224,7 @@ fn quad9_doh_servfails_at_double_digit_rate() {
         )
         .unwrap();
         let reply = session.query(&mut w.net, &q).unwrap();
-        if reply.message.rcode() == Rcode::ServFail {
+        if reply.view().rcode() == Rcode::ServFail {
             servfail += 1;
         }
     }
@@ -295,7 +295,7 @@ fn self_built_resolver_serves_all_three_transports() {
         1,
     )
     .unwrap();
-    assert_eq!(reply.message.rcode(), Rcode::NoError);
+    assert_eq!(reply.view().rcode(), Rcode::NoError);
     // DoT, strict, with the auth name.
     let mut dot = DotClient::new(TlsClientConfig::strict(w.trust_store.clone(), w.epoch()));
     let auth_name = w.self_built.auth_name.clone();
@@ -308,7 +308,7 @@ fn self_built_resolver_serves_all_three_transports() {
             &q,
         )
         .unwrap();
-    assert_eq!(reply.message.rcode(), Rcode::NoError);
+    assert_eq!(reply.view().rcode(), Rcode::NoError);
     // DoH.
     let mut doh = DohClient::new(
         TlsClientConfig::strict(w.trust_store.clone(), w.epoch()),
@@ -319,7 +319,7 @@ fn self_built_resolver_serves_all_three_transports() {
         },
     );
     let reply = doh.query_once(&mut w.net, client.ip, &q).unwrap();
-    assert_eq!(reply.message.rcode(), Rcode::NoError);
+    assert_eq!(reply.view().rcode(), Rcode::NoError);
 }
 
 #[test]

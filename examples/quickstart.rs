@@ -11,7 +11,7 @@
 //! Opportunistic DoT, DoH and clear text, printing what each profile
 //! experiences.
 
-use dnswire::RecordType;
+use dnswire::{Name, RecordType};
 use doe_protocols::{Bootstrap, DohMethod, StubConfig, StubProfile, StubResolver};
 use netsim::SimDuration;
 use worldgen::providers::anchors;
@@ -76,13 +76,14 @@ fn main() {
         println!("--- {label} via {resolver} ---");
         for i in 0..3 {
             let name = format!("q{i}.probe.dnsmeasure.example");
-            match stub.resolve(&mut world.net, client.ip, &name, RecordType::A) {
+            let qname = Name::parse(&name).expect("probe names parse");
+            match stub.resolve(&mut world.net, client.ip, qname, RecordType::A) {
                 Ok(reply) => {
                     let answer = reply
-                        .message
-                        .answers
-                        .first()
-                        .map(|rr| format!("{:?}", rr.rdata))
+                        .view()
+                        .answers()
+                        .next()
+                        .map(|rr| format!("{:?}", rr.rdata()))
                         .unwrap_or_else(|| "(no answer)".into());
                     println!(
                         "  {name} -> {answer}  [{} in {}, reused={}]",

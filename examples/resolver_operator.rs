@@ -12,7 +12,7 @@ use dnswire::{Name, RData, RecordType};
 use doe_protocols::dot::DotClient;
 use doe_protocols::responder::AuthoritativeServer;
 use doe_protocols::{
-    Bootstrap, DohBackend, DohClient, DohMethod, DohServerService, DotServerService,
+    Bootstrap, DohBackend, DohClient, DohMethod, DohServerService, DotServerService, QueryReply,
 };
 use httpsim::UriTemplate;
 use netsim::{HostMeta, Network, NetworkConfig};
@@ -98,7 +98,8 @@ fn main() {
         .expect("strict DoT works against a valid certificate");
     println!(
         "strict DoT client : {:?} in {}",
-        reply.message.answers[0].rdata, reply.latency
+        first_answer(&reply),
+        reply.latency
     );
 
     let template = UriTemplate::parse("https://dns.operator.example/dns-query{?dns}").unwrap();
@@ -113,7 +114,8 @@ fn main() {
         .expect("DoH works");
     println!(
         "DoH client        : {:?} in {}",
-        reply.message.answers[0].rdata, reply.latency
+        first_answer(&reply),
+        reply.latency
     );
 
     // --- now let the certificate lapse (Finding 1.2) ----------------------
@@ -138,8 +140,13 @@ fn main() {
         .expect("opportunistic clients proceed");
     println!(
         "opportunistic DoT : still answers ({:?}) but verification says {:?}",
-        reply.message.answers[0].rdata,
+        first_answer(&reply),
         reply.transport.verify.unwrap().unwrap_err()
     );
     println!("\nmoral: renew your certificates — strict clients fail closed, opportunistic ones lose authentication silently.");
+}
+
+/// The first answer record's data, as the client received it.
+fn first_answer(reply: &QueryReply) -> RData {
+    reply.view().answers().next().expect("one answer").rdata()
 }

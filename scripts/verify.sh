@@ -22,8 +22,9 @@ echo "==> dnswire: round trips + pinned errors + pinned bytes + allocations"
 # messages and on byte-flipped, truncated and random inputs; that every
 # adversarial fixture is rejected with its pinned error variant; the
 # exact bytes the owned encoder writes, since round trips would also
-# accept a different but valid name compression; and that the view parse
-# never allocates while the owned encode stays within its count.
+# accept a different but valid name compression; that the view parse
+# never allocates while the owned encode stays within its count; and
+# that parsing a 1 MiB name asks for no block above 255 octets.
 cargo test -q --offline -p dnswire --test properties --test adversarial \
     --test golden_encode --test alloc_counts
 # A name is one flat wire-form buffer and a zone looks owners up by
@@ -31,6 +32,33 @@ cargo test -q --offline -p dnswire --test properties --test adversarial \
 # every name operation, the encoded bytes and every lookup must equal
 # verbatim copies of the label-vector `Name` and the old lookup.
 cargo test -q --offline -p dnswire --test differential
+
+echo "==> doe: stub names built from labels + replies kept as validated frames"
+# A fleet query name is one allocation, and one clear-text UDP exchange
+# allocates a pinned count: a formatted name or an owned reply decode
+# that comes back shows here.
+cargo test -q --offline -p doe-protocols --test alloc_counts -- \
+    a_fleet_query_name_is_one_allocation \
+    a_clear_text_fleet_query_allocates_a_pinned_count
+# The label-built name must be byte for byte the name its text parses to,
+# for counters at 0, at each type's MAX and anywhere between.
+cargo test -q --offline -p doe-protocols --test stub_wire -- \
+    counter_extremes_build_the_parsed_name \
+    label_built_names_equal_parsed_names
+# A name too long to build fails its query as a parse error did: a wire
+# error, counted as failed and not retransmitted.
+cargo test -q --offline -p doe-protocols --lib -- \
+    machine::tests::a_name_past_255_octets_fails_the_query_without_a_retry
+# A reply is validated on receipt: junk over UDP and TCP must fail with
+# the owned decoder's wire error for the same bytes.
+cargo test -q --offline -p doe-protocols --test stub_wire -- \
+    junk_udp_replies_are_the_owned_decoders_wire_errors \
+    junk_tcp_replies_are_the_owned_decoders_wire_errors
+# A DoT reply that is not DNS must verify as NotDns, and a DoH candidate
+# that answers 200 with a body that is not DNS must not count as working.
+cargo test -q --offline -p doe-scanner --lib -- \
+    verify::tests::classifies_open_refusing_and_junk \
+    doh_discovery::tests::a_200_with_a_body_that_is_not_dns_does_not_work
 
 echo "==> tlssim: pinned handshake bytes + hostile flights"
 # Handshake payloads are canonical JSON that tlssim's own codec writes

@@ -196,7 +196,7 @@ fn interception_ground_truth_cross_check() {
             &q,
         )
         .expect("opportunistic DoT succeeds through the device");
-    assert_eq!(reply.message.rcode(), Rcode::NoError);
+    assert_eq!(reply.view().rcode(), Rcode::NoError);
 
     // The device saw framed DNS containing our query name.
     let InterceptLog(entries) = world.net.shard_local(|log: &mut InterceptLog| log.clone());
@@ -251,7 +251,7 @@ fn stub_resolver_profiles_disagree_exactly_where_rfc8310_says() {
     let reply = opp
         .query_once(&mut world.net, client.ip, bad.addr, None, &q)
         .expect("opportunistic proceeds");
-    assert_eq!(reply.message.rcode(), Rcode::NoError);
+    assert_eq!(reply.view().rcode(), Rcode::NoError);
     assert!(matches!(
         reply.transport.verify,
         Some(Err(tlssim::CertError::SelfSigned))

@@ -94,7 +94,7 @@ fn tcp_based_dot_survives_loss_with_retransmission_cost() {
         let reply = dot
             .query_once(&mut net, client, resolver, Some("dns.probe.example"), &q)
             .expect("TCP absorbs loss");
-        assert_eq!(reply.message.rcode(), Rcode::NoError);
+        assert_eq!(reply.view().rcode(), Rcode::NoError);
         latencies.push(reply.latency);
     }
     // Loss shows up as a heavy tail, not as errors.
