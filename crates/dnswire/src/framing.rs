@@ -53,11 +53,18 @@ impl FrameDecoder {
     }
 
     /// Pop the next complete message, if the buffer holds one.
+    ///
+    /// When the buffer holds exactly that one frame, the common case of a
+    /// request/response stream, the buffer itself is handed over with
+    /// its length prefix stripped: nothing is copied, and the decoder
+    /// keeps no capacity between messages.
     pub fn next_message(&mut self) -> Option<Vec<u8>> {
-        let (msg, consumed) = {
-            let (msg, consumed) = read_framed(&self.buf)?;
-            (msg.to_vec(), consumed)
-        };
+        let (msg, consumed) = read_framed(&self.buf)?;
+        if consumed == self.buf.len() {
+            self.buf.drain(..2);
+            return Some(std::mem::take(&mut self.buf));
+        }
+        let msg = msg.to_vec();
         self.buf.drain(..consumed);
         Some(msg)
     }

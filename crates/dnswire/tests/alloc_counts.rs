@@ -3,11 +3,14 @@
 //! is bounded so that a regression in name compression shows. A name is
 //! one allocation however it is made, an owned decode allocates only what
 //! it keeps, and the stub fleet's zone lookup allocates nothing to miss.
-//! Parsing a name never asks for more than one name's worth of heap.
+//! Parsing a name never asks for more than one name's worth of heap. A
+//! stream decoder holding exactly one frame hands that buffer over.
 
 use dnswire::view::MessageView;
 use dnswire::zone::{Zone, ZoneLookup};
-use dnswire::{builder, Message, Name, RData, RecordType, ResourceRecord};
+use dnswire::{
+    builder, frame_message, FrameDecoder, Message, Name, RData, RecordType, ResourceRecord,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
@@ -24,6 +27,8 @@ thread_local! {
     static REALLOCS: Cell<u64> = const { Cell::new(0) };
     /// The largest block any of them asked for, in octets.
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Blocks given back: every `dealloc`.
+    static FREES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Note a request for a block of `size` octets.
@@ -42,6 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = FREES.try_with(|n| n.set(n.get() + 1));
         // SAFETY: `ptr` was allocated by `System` (through `alloc`) with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -74,6 +80,13 @@ fn heap_calls_during(f: impl FnOnce()) -> (u64, u64) {
         ALLOCS.with(Cell::get) - before.0,
         REALLOCS.with(Cell::get) - before.1,
     )
+}
+
+/// Blocks freed during `f`.
+fn frees_during(f: impl FnOnce()) -> u64 {
+    let before = FREES.with(Cell::get);
+    f();
+    FREES.with(Cell::get) - before
 }
 
 /// The packet `verify_one` classifies: a padded-to-128 A answer to the
@@ -200,4 +213,36 @@ fn owned_decode_and_fleet_zone_lookup_allocate_only_what_they_return() {
         assert_eq!(records[0].name, child);
     });
     assert_eq!(hit, (2, 0), "wildcard synthesis");
+}
+
+/// A request/response stream buffers one reply frame at a time: the
+/// decoder hands that buffer over with its length prefix stripped, so
+/// the reply is never copied and an idle pooled session's decoder keeps
+/// no capacity. Coalesced frames still copy out one at a time, up to the
+/// last, which is then the whole buffer.
+#[test]
+fn a_one_frame_buffer_is_handed_over_and_nothing_is_kept() {
+    let wire = sweep_reply().encode().unwrap();
+    let framed = frame_message(&wire).unwrap();
+    let mut dec = FrameDecoder::new();
+    dec.push(&framed);
+    let mut msg = None;
+    let calls = heap_calls_during(|| msg = dec.next_message());
+    assert_eq!(calls, (0, 0), "handing over the one buffered frame");
+    assert_eq!(msg.as_deref(), Some(&wire[..]));
+    assert_eq!(dec.pending_len(), 0);
+    let freed = frees_during(|| drop(dec));
+    assert_eq!(freed, 0, "a drained decoder keeps no capacity");
+
+    let mut dec = FrameDecoder::new();
+    dec.push(&framed);
+    dec.push(&framed);
+    let calls = heap_calls_during(|| msg = dec.next_message());
+    assert_eq!(calls, (1, 0), "the first of two frames is copied out");
+    assert_eq!(msg.as_deref(), Some(&wire[..]));
+    let calls = heap_calls_during(|| msg = dec.next_message());
+    assert_eq!(calls, (0, 0), "the last frame is the whole buffer");
+    assert_eq!(msg.as_deref(), Some(&wire[..]));
+    let freed = frees_during(|| drop(dec));
+    assert_eq!(freed, 0, "a drained decoder keeps no capacity");
 }

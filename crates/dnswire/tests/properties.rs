@@ -177,23 +177,31 @@ proptest! {
         let _ = Message::decode(&question_wire(&bytes)); // may Err, must not panic
     }
 
+    /// Fixed-size chunks split frames anywhere and coalesce them; one
+    /// push per frame ends every push on a boundary, so each frame is the
+    /// whole buffer and is handed over rather than copied out.
     #[test]
     fn framing_reassembles_any_chunking(
         msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..200), 1..5),
         chunk in 1usize..17,
     ) {
-        let mut stream = Vec::new();
-        for m in &msgs {
-            stream.extend(dnswire::frame_message(m).unwrap());
+        let frames: Vec<Vec<u8>> = msgs
+            .iter()
+            .map(|m| dnswire::frame_message(m).unwrap())
+            .collect();
+        let stream = frames.concat();
+        let per_frame = frames.iter().map(Vec::as_slice);
+        let chunkings: [Vec<&[u8]>; 2] = [stream.chunks(chunk).collect(), per_frame.collect()];
+        for pieces in chunkings {
+            let mut dec = FrameDecoder::new();
+            let mut out = Vec::new();
+            for piece in pieces {
+                dec.push(piece);
+                out.extend(dec.drain_messages());
+            }
+            prop_assert_eq!(&out, &msgs);
+            prop_assert_eq!(dec.pending_len(), 0);
         }
-        let mut dec = FrameDecoder::new();
-        let mut out = Vec::new();
-        for piece in stream.chunks(chunk) {
-            dec.push(piece);
-            out.extend(dec.drain_messages());
-        }
-        prop_assert_eq!(out, msgs);
-        prop_assert_eq!(dec.pending_len(), 0);
     }
 
     #[test]

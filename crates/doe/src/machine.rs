@@ -11,8 +11,10 @@
 //! * [`SchedEvent::Deliver`] — the in-flight response arrives; record the
 //!   sample and arm the next think timer plus an idle-close guard.
 //! * [`SchedEvent::IdleClose`] — the pooled connection sat idle past the
-//!   configured window; expire it (lazy-cancelled via a generation token
-//!   if the connection was used in the meantime).
+//!   configured window; expire it. The event carries the count of
+//!   completed queries it was armed at, so a close whose connection has
+//!   carried another query since is ignored (lazy cancellation): each
+//!   completed query arms one close, and the count is its own generation.
 //! * [`SchedEvent::Retransmit`] — a timed-out flight's backoff elapsed;
 //!   try again, up to the attempt budget.
 //!
@@ -21,6 +23,14 @@
 //! for every operation ([`Network::with_rng`]), so a client's draw
 //! sequence is identical no matter how machines interleave or how many
 //! shards the fleet is split across.
+//!
+//! Footprint: a million machines sit in one `Vec`, so a machine is
+//! exactly 128 bytes, aligned to 64, and spans two cache lines, never
+//! three. It stores nothing the run knows elsewhere: the dense index
+//! arrives with every fired event, the answered count is the completed
+//! count less the failed one, the reuse count is the resolver's, and an
+//! answer's latency is summed when its delivery is scheduled, since only
+//! that delivery can move a waiting machine on (DESIGN.md §7).
 
 use crate::error::QueryError;
 use crate::stub::{StubConfig, StubResolver};
@@ -157,97 +167,130 @@ impl StubMachineStats {
     }
 }
 
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Between queries; a think timer (and possibly an idle-close guard)
     /// is pending.
     Idle,
     /// A query is in flight; its answer is scheduled for delivery.
-    Waiting { latency_us: u64 },
+    Waiting,
     /// All queries done; any still-heaped events are stale.
     Done,
 }
 
-/// One event-driven stub client.
+/// One event-driven stub client: 128 bytes, two cache lines.
+#[repr(align(64))]
 pub struct StubMachine {
-    /// Dense per-shard machine index (the heap address).
-    index: u64,
-    /// Global client index (names, seeding).
-    client: u64,
-    src: Ipv4Addr,
+    rng: SmallRng,
     stub: StubResolver,
     pacing: Arc<StubPacing>,
-    rng: SmallRng,
-    phase: Phase,
-    /// Connection-use generation for lazy idle-close cancellation.
-    generation: u32,
-    /// Logical queries completed so far.
+    /// Timeout errors observed (including ones later retried).
+    timeouts: u64,
+    /// Retransmit events fired.
+    retransmits: u64,
+    /// Sum of answer latencies, µs, added as each delivery is scheduled.
+    latency_sum_us: u64,
+    /// Global client index (names, seeding); the /10 band caps it at 4M.
+    client: u32,
+    /// Logical queries completed so far; also the generation an
+    /// idle-close guard is armed with.
     completed: u32,
-    /// Outcome counters, read by the fleet runner after the heap drains.
-    pub stats: StubMachineStats,
+    /// Completed queries that failed (≤ `completed`).
+    failed: u32,
+    /// Idle closes that expired a pooled connection (≤ `completed`).
+    idle_closes: u32,
+    src: Ipv4Addr,
+    phase: Phase,
 }
 
 impl StubMachine {
-    /// Build a machine. `index` is the dense per-shard heap address,
-    /// `client` the global client index, `rng_seed` typically
-    /// `mix_seed(salt, client)`.
+    /// Build a machine for global client index `client` (names the
+    /// queries); `rng_seed` is typically `mix_seed(salt, client)`.
     pub fn new(
-        index: u64,
-        client: u64,
+        client: u32,
         src: Ipv4Addr,
         config: StubConfig,
         pacing: Arc<StubPacing>,
         rng_seed: u64,
     ) -> StubMachine {
         StubMachine {
-            index,
-            client,
-            src,
+            rng: SmallRng::seed_from_u64(rng_seed),
             stub: StubResolver::new(config),
             pacing,
-            rng: SmallRng::seed_from_u64(rng_seed),
-            phase: Phase::Idle,
-            generation: 0,
+            timeouts: 0,
+            retransmits: 0,
+            latency_sum_us: 0,
+            client,
             completed: 0,
-            stats: StubMachineStats::default(),
+            failed: 0,
+            idle_closes: 0,
+            src,
+            phase: Phase::Idle,
         }
     }
 
     /// Whether the machine has finished its query budget.
     pub fn is_done(&self) -> bool {
-        matches!(self.phase, Phase::Done)
+        self.phase == Phase::Done
     }
 
     /// The global client index the machine was built with.
     pub fn client_index(&self) -> u64 {
-        self.client
+        self.client.into()
+    }
+
+    /// The machine's outcome counters, read by the fleet runner after the
+    /// heap drains. Every completed query was either answered or failed,
+    /// and the resolver counts the queries that rode a pooled connection.
+    pub fn stats(&self) -> StubMachineStats {
+        let completed = u64::from(self.completed);
+        let failed = u64::from(self.failed);
+        StubMachineStats {
+            queries: completed,
+            answered: completed - failed,
+            failed,
+            timeouts: self.timeouts,
+            retransmits: self.retransmits,
+            idle_closes: self.idle_closes.into(),
+            reused: self.stub.reused_queries(),
+            latency_sum_us: self.latency_sum_us,
+        }
     }
 
     /// Kick the machine off: schedule its first think timer `delay`
-    /// after the current virtual time.
-    pub fn start(&mut self, net: &mut Network, delay: SimDuration) {
-        net.schedule_after(delay, self.index, SchedEvent::Timer { token: 0 });
+    /// after the current virtual time. `index` is the machine's dense
+    /// per-shard heap address, which every fired event carries back.
+    pub fn start(&self, net: &mut Network, index: u64, delay: SimDuration) {
+        net.schedule_after(delay, index, SchedEvent::Timer { token: 0 });
     }
 
     /// Issue attempt `attempt` of the current logical query. The machine
     /// RNG stands in for the shard stream for the duration, so the draw
     /// sequence belongs to this client alone. A name that cannot be built
     /// fails the attempt as a wire error before the stub draws anything.
-    fn issue_query(&mut self, net: &mut Network, attempt: u32) {
-        let outcome = query_name(self.completed, attempt, self.client, &self.pacing.apex)
-            .map_err(QueryError::Wire)
-            .and_then(|name| {
-                net.with_rng(&mut self.rng, |net| {
-                    self.stub.resolve(net, self.src, name, RecordType::A)
-                })
-            });
+    fn issue_query(&mut self, net: &mut Network, index: u64, attempt: u32) {
+        let outcome = query_name(
+            self.completed,
+            attempt,
+            self.client.into(),
+            &self.pacing.apex,
+        )
+        .map_err(QueryError::Wire)
+        .and_then(|name| {
+            net.with_rng(&mut self.rng, |net| {
+                self.stub.resolve(net, self.src, name, RecordType::A)
+            })
+        });
         match outcome {
             Ok(reply) => {
-                self.phase = Phase::Waiting {
-                    latency_us: reply.latency.as_micros(),
-                };
+                // Only this delivery moves a waiting machine on, and it
+                // fires before the heap drains: its latency can be summed
+                // now.
+                self.phase = Phase::Waiting;
+                self.latency_sum_us += reply.latency.as_micros();
                 net.schedule_after(
                     reply.latency,
-                    self.index,
+                    index,
                     SchedEvent::Deliver {
                         token: self.completed,
                     },
@@ -256,21 +299,21 @@ impl StubMachine {
             Err(e) => {
                 let timed_out = e.is_timeout();
                 if timed_out {
-                    self.stats.timeouts += 1;
+                    self.timeouts += 1;
                 }
                 if timed_out && attempt < self.pacing.max_attempts {
                     // The flight's wasted wait plus a linear backoff.
                     let delay = e.elapsed() + self.pacing.backoff * u64::from(attempt);
                     net.schedule_after(
                         delay,
-                        self.index,
+                        index,
                         SchedEvent::Retransmit {
                             attempt: attempt + 1,
                         },
                     );
                 } else {
-                    self.stats.failed += 1;
-                    self.finish_query(net);
+                    self.failed += 1;
+                    self.finish_query(net, index);
                 }
             }
         }
@@ -278,15 +321,12 @@ impl StubMachine {
 
     /// A logical query just completed (answered or exhausted); advance
     /// to the next one or finish, arming think and idle-close events.
-    fn finish_query(&mut self, net: &mut Network) {
-        self.stats.queries += 1;
-        self.generation = self.generation.wrapping_add(1);
+    fn finish_query(&mut self, net: &mut Network, index: u64) {
         self.completed += 1;
         if self.completed >= self.pacing.queries_per_client {
             self.phase = Phase::Done;
             // Clean close; later IdleClose events find the machine done.
             self.stub.expire_session(net);
-            self.stats.reused = self.stub.reused_queries();
             return;
         }
         self.phase = Phase::Idle;
@@ -300,7 +340,7 @@ impl StubMachine {
         );
         net.schedule_after(
             think,
-            self.index,
+            index,
             SchedEvent::Timer {
                 token: self.completed,
             },
@@ -310,9 +350,9 @@ impl StubMachine {
         if self.stub.pools_connection() {
             net.schedule_after(
                 self.pacing.idle_close,
-                self.index,
+                index,
                 SchedEvent::IdleClose {
-                    generation: self.generation,
+                    generation: self.completed,
                 },
             );
         }
@@ -321,28 +361,28 @@ impl StubMachine {
 
 impl EventMachine for StubMachine {
     fn on_event(&mut self, net: &mut Network, fired: Fired) {
-        if matches!(self.phase, Phase::Done) {
+        if self.phase == Phase::Done {
             return; // stale events after completion
         }
+        let index = fired.machine;
         match fired.event {
-            SchedEvent::Timer { .. } => self.issue_query(net, 1),
+            SchedEvent::Timer { .. } => self.issue_query(net, index, 1),
             SchedEvent::Retransmit { attempt } => {
-                self.stats.retransmits += 1;
-                self.issue_query(net, attempt);
+                self.retransmits += 1;
+                self.issue_query(net, index, attempt);
             }
             SchedEvent::Deliver { .. } => {
-                if let Phase::Waiting { latency_us } = self.phase {
-                    self.stats.answered += 1;
-                    self.stats.latency_sum_us += latency_us;
-                    self.finish_query(net);
+                if self.phase == Phase::Waiting {
+                    self.finish_query(net, index);
                 }
             }
             SchedEvent::IdleClose { generation } => {
-                // Lazy cancellation: only current-generation closes on an
-                // idle machine expire the pooled connection.
-                if generation == self.generation && matches!(self.phase, Phase::Idle) {
+                // Lazy cancellation: only a close armed at the current
+                // completed count, on an idle machine, expires the
+                // pooled connection.
+                if generation == self.completed && self.phase == Phase::Idle {
                     self.stub.expire_session(net);
-                    self.stats.idle_closes += 1;
+                    self.idle_closes += 1;
                 }
             }
         }
@@ -418,7 +458,7 @@ mod tests {
     }
 
     fn machine(
-        index: u64,
+        index: u32,
         net_resolver: Ipv4Addr,
         store: &TrustStore,
         profile: StubProfile,
@@ -426,7 +466,6 @@ mod tests {
     ) -> StubMachine {
         let src = Ipv4Addr::new(100, 64, (index / 250) as u8, (index % 250) as u8 + 1);
         StubMachine::new(
-            index,
             index,
             src,
             StubConfig {
@@ -437,15 +476,16 @@ mod tests {
                 timeout: SimDuration::from_secs(5),
             },
             Arc::clone(pacing),
-            mix_seed(4242, index),
+            mix_seed(4242, index.into()),
         )
     }
 
     #[test]
     fn stub_machine_fits_its_footprint_budget() {
-        // The 1M-client fleet's RSS is this size times a million.
-        let size = std::mem::size_of::<StubMachine>();
-        assert!(size <= 384, "StubMachine is {size} B, budget 384 B");
+        // The 1M-client fleet's RSS is this size times a million, and a
+        // 64-byte-aligned 128-byte machine spans exactly two cache lines.
+        assert_eq!(std::mem::size_of::<StubMachine>(), 128);
+        assert_eq!(std::mem::align_of::<StubMachine>(), 64);
     }
 
     #[test]
@@ -469,9 +509,8 @@ mod tests {
                 machine(i, resolver, &store, profile, &pacing)
             })
             .collect();
-        for m in machines.iter_mut() {
-            let delay = SimDuration::from_micros(m.index * 1_000);
-            m.start(&mut net, delay);
+        for (index, m) in (0..).zip(&machines) {
+            m.start(&mut net, index, SimDuration::from_micros(index * 1_000));
         }
         run_machines(&mut net, &mut machines);
         assert_eq!(net.pending_events(), 0);
@@ -479,7 +518,7 @@ mod tests {
         let mut total = StubMachineStats::default();
         for m in &machines {
             assert!(m.is_done());
-            total.absorb(&m.stats);
+            total.absorb(&m.stats());
         }
         assert_eq!(total.queries, 40 * 6);
         assert_eq!(total.answered, 40 * 6, "healthy fleet answers everything");
@@ -520,9 +559,9 @@ mod tests {
             StubProfile::ClearText,
             &pacing,
         )];
-        machines[0].start(&mut net, SimDuration::ZERO);
+        machines[0].start(&mut net, 0, SimDuration::ZERO);
         run_machines(&mut net, &mut machines);
-        let stats = machines[0].stats;
+        let stats = machines[0].stats();
         assert_eq!((stats.queries, stats.failed), (2, 2));
         assert_eq!(
             (stats.answered, stats.timeouts, stats.retransmits),
@@ -548,14 +587,14 @@ mod tests {
         let mut machines: Vec<StubMachine> = (0..4)
             .map(|i| machine(i, resolver, &store, StubProfile::ClearText, &pacing))
             .collect();
-        for m in machines.iter_mut() {
-            m.start(&mut net, SimDuration::ZERO);
+        for (index, m) in (0..).zip(&machines) {
+            m.start(&mut net, index, SimDuration::ZERO);
         }
         run_machines(&mut net, &mut machines);
 
         let mut total = StubMachineStats::default();
         for m in &machines {
-            total.absorb(&m.stats);
+            total.absorb(&m.stats());
         }
         assert_eq!(total.answered, 0);
         assert_eq!(total.failed, 4 * 2);
@@ -582,11 +621,11 @@ mod tests {
                     )
                 })
                 .collect();
-            for m in machines.iter_mut() {
-                m.start(&mut net, SimDuration::ZERO);
+            for (index, m) in (0..).zip(&machines) {
+                m.start(&mut net, index, SimDuration::ZERO);
             }
             run_machines(&mut net, &mut machines);
-            machines.iter().map(|m| m.stats).collect::<Vec<_>>()
+            machines.iter().map(StubMachine::stats).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }

@@ -8,6 +8,7 @@
 
 use crate::date::DateStamp;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Identity of a simulated key pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -252,9 +253,14 @@ impl CaHandle {
 
 /// The client-side trust anchor list (Mozilla CA list analog; the paper
 /// verified against the CentOS 7.6 system store).
+///
+/// The anchors are shared: a clone copies a pointer, so every client of
+/// a million-client fleet can hold the store. [`TrustStore::add`] copies
+/// them first if another clone still shares them, and an empty store
+/// allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct TrustStore {
-    anchors: HashMap<KeyId, String>,
+    anchors: Option<Arc<HashMap<KeyId, String>>>,
 }
 
 impl TrustStore {
@@ -265,27 +271,27 @@ impl TrustStore {
 
     /// Add a trusted CA.
     pub fn add(&mut self, ca: &CertificateAuthority) {
-        self.anchors.insert(ca.key, ca.cn.clone());
+        self.add_key(ca.key, &ca.cn);
     }
 
     /// Add by raw key (for tests).
     pub fn add_key(&mut self, key: KeyId, cn: &str) {
-        self.anchors.insert(key, cn.to_string());
+        Arc::make_mut(self.anchors.get_or_insert_with(Arc::default)).insert(key, cn.to_string());
     }
 
     /// Whether a key is a trust anchor.
     pub fn is_trusted(&self, key: KeyId) -> bool {
-        self.anchors.contains_key(&key)
+        self.anchors.as_ref().is_some_and(|a| a.contains_key(&key))
     }
 
     /// Number of anchors.
     pub fn len(&self) -> usize {
-        self.anchors.len()
+        self.anchors.as_ref().map_or(0, |a| a.len())
     }
 
     /// True if the store trusts nothing.
     pub fn is_empty(&self) -> bool {
-        self.anchors.is_empty()
+        self.len() == 0
     }
 }
 
@@ -382,6 +388,17 @@ mod tests {
         assert!(store.is_trusted(ca.key()));
         assert!(!store.is_trusted(KeyId(2)));
         assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn a_cloned_store_copies_its_anchors_on_write() {
+        let mut store = TrustStore::new();
+        store.add_key(KeyId(1), "Root");
+        let shared = store.clone();
+        store.add_key(KeyId(2), "Second root");
+        assert!(store.is_trusted(KeyId(2)));
+        assert!(!shared.is_trusted(KeyId(2)), "the clone keeps its anchors");
+        assert_eq!((store.len(), shared.len()), (2, 1));
     }
 
     #[test]

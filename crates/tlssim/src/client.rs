@@ -11,8 +11,8 @@ use crate::record::{
 use crate::verify::verify_chain;
 use netsim::{Conn, Network, SimDuration};
 use rand::Rng;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// RFC 8310-style usage profiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,19 +80,38 @@ impl TlsClientConfig {
     }
 }
 
-#[derive(Debug, Clone)]
+/// A cached session: the server it resumes with, its ticket and key, and
+/// what the full handshake established.
+#[derive(Debug)]
 struct TicketEntry {
+    addr: Ipv4Addr,
+    port: u16,
+    sni: Option<String>,
     ticket: u64,
     key: SessionKey,
-    chain: Vec<Certificate>,
+    /// Shared with every stream the session opens.
+    chain: Arc<[Certificate]>,
     verify_result: Result<(), CertError>,
+    /// The negotiated ALPN protocol, as its position in the client's
+    /// offers.
+    alpn: Option<usize>,
+}
+
+impl TicketEntry {
+    fn is_for(&self, addr: Ipv4Addr, port: u16, sni: Option<&str>) -> bool {
+        self.addr == addr && self.port == port && self.sni.as_deref() == sni
+    }
 }
 
 /// Opens TLS sessions; caches resumption tickets per
 /// `(addr, port, sni)`.
+///
+/// A connector talks to one server or a few, so the cache is a short
+/// list searched in order: a one-entry `HashMap` would cost hundreds of
+/// bytes per connector in a million-client fleet.
 pub struct TlsConnector {
     config: TlsClientConfig,
-    tickets: HashMap<(Ipv4Addr, u16, Option<String>), TicketEntry>,
+    tickets: Vec<TicketEntry>,
 }
 
 impl TlsConnector {
@@ -100,7 +119,7 @@ impl TlsConnector {
     pub fn new(config: TlsClientConfig) -> Self {
         TlsConnector {
             config,
-            tickets: HashMap::new(),
+            tickets: Vec::new(),
         }
     }
 
@@ -134,10 +153,9 @@ impl TlsConnector {
         sni: Option<&str>,
     ) -> Result<TlsStream, TlsError> {
         let mut conn = net.connect(src, dst, port)?;
-        let cache_key = (dst, port, sni.map(str::to_string));
 
         if self.config.enable_resumption {
-            if let Some(entry) = self.tickets.get(&cache_key) {
+            if let Some(entry) = self.tickets.iter().find(|e| e.is_for(dst, port, sni)) {
                 let client_random: u64 = net.rng().gen();
                 let key = SessionKey::derive_resumed(entry.key, client_random);
                 let hello = handshake_record(
@@ -153,9 +171,9 @@ impl TlsConnector {
                 return Ok(TlsStream {
                     conn,
                     key,
-                    server_chain: entry.chain.clone(),
+                    server_chain: Arc::clone(&entry.chain),
                     verify_result: entry.verify_result.clone(),
-                    alpn: self.config.alpn.first().cloned(),
+                    alpn: entry.alpn.and_then(|i| self.config.alpn.get(i)).cloned(),
                     costs: self.config.costs,
                     pending_hello: Some(hello),
                     resumed: true,
@@ -182,6 +200,19 @@ impl TlsConnector {
                 "server resumed without a ticket".into(),
             ));
         }
+        // RFC 7301 §3.2: the server selects one of the client's offers.
+        let alpn = match &sh.alpn {
+            None => None,
+            Some(selected) => match self.config.alpn.iter().position(|p| p == selected) {
+                Some(i) => Some(i),
+                None => {
+                    conn.close(net);
+                    return Err(TlsError::ProtocolViolation(format!(
+                        "server selected ALPN {selected:?}, which was not offered"
+                    )));
+                }
+            },
+        };
         let verify_result = verify_chain(&sh.chain, &self.config.trust_store, self.config.now, sni);
         if self.config.verify == VerifyMode::Strict {
             if let Err(cert_err) = &verify_result {
@@ -192,16 +223,26 @@ impl TlsConnector {
         }
         let leaf_key = sh.chain.first().map(|c| c.key.0).unwrap_or_default();
         let key = SessionKey::derive(client_random, sh.server_random, leaf_key);
+        let chain: Arc<[Certificate]> = sh.chain.into();
         if let Some(ticket) = sh.ticket {
-            self.tickets.insert(
-                cache_key,
-                TicketEntry {
-                    ticket,
-                    key,
-                    chain: sh.chain.clone(),
-                    verify_result: verify_result.clone(),
-                },
-            );
+            let entry = TicketEntry {
+                addr: dst,
+                port,
+                sni: sni.map(str::to_string),
+                ticket,
+                key,
+                chain: Arc::clone(&chain),
+                verify_result: verify_result.clone(),
+                alpn,
+            };
+            match self.tickets.iter_mut().find(|e| e.is_for(dst, port, sni)) {
+                Some(slot) => *slot = entry,
+                None => {
+                    // Grow by one: a first push would reserve four.
+                    self.tickets.reserve_exact(1);
+                    self.tickets.push(entry);
+                }
+            }
         }
         conn.charge(self.config.costs.handshake);
         let fin = encode_records(&[Record {
@@ -217,7 +258,7 @@ impl TlsConnector {
         Ok(TlsStream {
             conn,
             key,
-            server_chain: sh.chain,
+            server_chain: chain,
             verify_result,
             alpn: sh.alpn,
             costs: self.config.costs,
@@ -259,7 +300,8 @@ fn parse_server_hello(records: &[Record]) -> Result<ServerHello, TlsError> {
 pub struct TlsStream {
     conn: Conn,
     key: SessionKey,
-    server_chain: Vec<Certificate>,
+    /// Shared with the ticket the session was cached under, if any.
+    server_chain: Arc<[Certificate]>,
     verify_result: Result<(), CertError>,
     alpn: Option<String>,
     costs: TlsCosts,

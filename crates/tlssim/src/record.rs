@@ -53,22 +53,36 @@ impl Record {
     /// Serialise to wire bytes.
     ///
     /// # Panics
+    /// Panics if the payload is longer than `u16::MAX` bytes, as
+    /// [`Record::encode_into`] does.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the record's wire bytes to `out`.
+    ///
+    /// # Panics
     /// Panics if the payload is longer than `u16::MAX` bytes, which the
     /// record's length field cannot carry. Keeping it shorter is the
     /// caller's invariant: [`seal_record`] and the handshake refuse a
     /// longer payload with [`TlsError::RecordOverflow`], and every other
     /// record the simulator builds carries a short alert or `Finished`.
-    pub fn encode(&self) -> Vec<u8> {
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         assert!(
             self.payload.len() <= usize::from(u16::MAX),
             "a {}-byte record payload overflows the u16 length field",
             self.payload.len()
         );
-        let mut out = Vec::with_capacity(3 + self.payload.len());
         out.push(self.ctype.to_u8());
         out.extend_from_slice(&(self.payload.len() as u16).to_be_bytes());
         out.extend_from_slice(&self.payload);
-        out
+    }
+
+    /// Length of the record on the wire: header and payload.
+    fn wire_len(&self) -> usize {
+        3 + self.payload.len()
     }
 }
 
@@ -96,11 +110,11 @@ pub fn decode_records(mut data: &[u8]) -> Result<Vec<Record>, TlsError> {
     Ok(records)
 }
 
-/// Encode a flight of records.
+/// Encode a flight of records into one buffer sized to the flight.
 pub fn encode_records(records: &[Record]) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(records.iter().map(Record::wire_len).sum());
     for r in records {
-        out.extend_from_slice(&r.encode());
+        r.encode_into(&mut out);
     }
     out
 }

@@ -113,15 +113,19 @@ pub(crate) fn answer_client_hello(
 }
 
 /// A [`Service`] that terminates TLS and hands plaintext to `inner`.
+/// Every accepted stream shares the one config.
 pub struct TlsServerService {
-    config: TlsServerConfig,
+    config: Arc<TlsServerConfig>,
     inner: Arc<dyn Service>,
 }
 
 impl TlsServerService {
     /// Wrap `inner` behind TLS with `config`.
     pub fn new(config: TlsServerConfig, inner: Arc<dyn Service>) -> Self {
-        TlsServerService { config, inner }
+        TlsServerService {
+            config: Arc::new(config),
+            inner,
+        }
     }
 
     /// The configured chain (tests & forensics).
@@ -137,7 +141,7 @@ enum HandlerState {
 }
 
 struct TlsServerHandler {
-    config: TlsServerConfig,
+    config: Arc<TlsServerConfig>,
     inner_service: Arc<dyn Service>,
     inner: Option<Box<dyn StreamHandler>>,
     peer: PeerInfo,
@@ -259,7 +263,7 @@ impl StreamHandler for TlsServerHandler {
 impl Service for TlsServerService {
     fn open_stream(&self, peer: PeerInfo) -> Box<dyn StreamHandler> {
         Box::new(TlsServerHandler {
-            config: self.config.clone(),
+            config: Arc::clone(&self.config),
             inner_service: Arc::clone(&self.inner),
             inner: None,
             peer,

@@ -6,7 +6,8 @@ use netsim::{
 };
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-use tlssim::handshake::{ClientHello, HandshakeMsg};
+use tlssim::handshake::{ClientHello, HandshakeMsg, ServerHello};
+use tlssim::record::{decode_records, encode_records, ContentType, Record};
 use tlssim::{
     CaHandle, CertError, DateStamp, InterceptLog, KeyId, TlsClientConfig, TlsConnector, TlsError,
     TlsInterceptService, TlsServerConfig, TlsServerService, TrustStore, VerifyMode,
@@ -294,6 +295,94 @@ fn alpn_mismatch_aborts() {
         .connect(&mut w.net, w.client, w.server, 853, None)
         .unwrap_err();
     assert!(matches!(err, TlsError::HandshakeFailed(_)), "{err:?}");
+}
+
+/// A client offering `h2, http/1.1` to a server that accepts only
+/// `http/1.1` reads `http/1.1`, on the full stream and on the stream its
+/// ticket resumes: the ticket keeps what the handshake negotiated, not
+/// the client's first offer.
+#[test]
+fn a_resumed_stream_keeps_the_negotiated_alpn() {
+    let mut w = build_world(15);
+    let cert = CaHandle::self_signed("web.example.com", vec![], KeyId(40), 1, NOW(), NOW() + 90);
+    w.net.bind_tcp(
+        w.server,
+        443,
+        Arc::new(TlsServerService::new(
+            TlsServerConfig::new(vec![cert], KeyId(40)).with_alpn(&["http/1.1"]),
+            Arc::new(UpperService),
+        )),
+    );
+    let mut connector =
+        TlsConnector::new(TlsClientConfig::no_verify(NOW()).with_alpn(&["h2", "http/1.1"]));
+    let mut full = connector
+        .connect(&mut w.net, w.client, w.server, 443, None)
+        .unwrap();
+    assert!(!full.resumed());
+    assert_eq!(full.alpn(), Some("http/1.1"));
+    assert_eq!(full.request(&mut w.net, b"full").unwrap(), b"FULL");
+    full.close(&mut w.net);
+
+    let mut resumed = connector
+        .connect(&mut w.net, w.client, w.server, 443, None)
+        .unwrap();
+    assert!(resumed.resumed());
+    assert_eq!(resumed.alpn(), Some("http/1.1"));
+    assert_eq!(resumed.request(&mut w.net, b"again").unwrap(), b"AGAIN");
+}
+
+/// A scripted server whose ServerHello selects `spdy/3` whatever the
+/// client offered, with a valid chain and a Finished acknowledgement.
+struct SpdyServer(tlssim::Certificate);
+impl Service for SpdyServer {
+    fn open_stream(&self, _peer: netsim::PeerInfo) -> Box<dyn netsim::StreamHandler> {
+        struct H(tlssim::Certificate);
+        impl netsim::StreamHandler for H {
+            fn on_bytes(&mut self, _ctx: &mut netsim::ServiceCtx<'_>, data: &[u8]) -> Vec<u8> {
+                let mut out = Vec::new();
+                for record in decode_records(data).unwrap() {
+                    let reply = match HandshakeMsg::decode(&record.payload) {
+                        Ok(HandshakeMsg::ClientHello(_)) => {
+                            HandshakeMsg::ServerHello(ServerHello {
+                                server_random: 7,
+                                alpn: Some("spdy/3".into()),
+                                chain: vec![self.0.clone()],
+                                ticket: Some(9),
+                                resumed: false,
+                            })
+                        }
+                        _ => HandshakeMsg::Finished,
+                    };
+                    out.push(Record {
+                        ctype: ContentType::Handshake,
+                        payload: reply.encode(),
+                    });
+                }
+                encode_records(&out)
+            }
+        }
+        Box::new(H(self.0.clone()))
+    }
+}
+
+/// RFC 7301 §3.2: a server selects one of the client's offers. A
+/// ServerHello selecting anything else is refused, and no ticket is kept.
+#[test]
+fn a_server_selecting_an_unoffered_alpn_is_refused() {
+    let mut w = build_world(16);
+    let cert = CaHandle::self_signed("spdy.example.com", vec![], KeyId(41), 1, NOW(), NOW() + 90);
+    w.net.bind_tcp(w.server, 4433, Arc::new(SpdyServer(cert)));
+    for offers in [&["h2", "http/1.1"][..], &[]] {
+        let mut connector = TlsConnector::new(TlsClientConfig::no_verify(NOW()).with_alpn(offers));
+        let err = connector
+            .connect(&mut w.net, w.client, w.server, 4433, None)
+            .unwrap_err();
+        assert!(
+            matches!(&err, TlsError::ProtocolViolation(m) if m.contains("spdy/3")),
+            "offers {offers:?}: {err:?}"
+        );
+        assert_eq!(connector.cached_sessions(), 0);
+    }
 }
 
 #[test]

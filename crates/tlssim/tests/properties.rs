@@ -45,6 +45,26 @@ proptest! {
         prop_assert_eq!(decoded, records);
     }
 
+    /// A flight is written into one buffer, and must hold exactly the
+    /// bytes of its records' `encode`, one after another, whatever their
+    /// types and lengths.
+    #[test]
+    fn a_mixed_flight_is_its_records_encoded_in_order(
+        records in proptest::collection::vec(
+            (0usize..3, proptest::collection::vec(any::<u8>(), 0..300)),
+            0..6,
+        ),
+    ) {
+        const TYPES: [ContentType; 3] =
+            [ContentType::Handshake, ContentType::ApplicationData, ContentType::Alert];
+        let records: Vec<Record> = records
+            .into_iter()
+            .map(|(t, payload)| Record { ctype: TYPES[t], payload })
+            .collect();
+        let concatenated: Vec<u8> = records.iter().flat_map(Record::encode).collect();
+        prop_assert_eq!(encode_records(&records), concatenated);
+    }
+
     #[test]
     fn record_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = decode_records(&bytes);

@@ -289,7 +289,7 @@ pub fn stub_population_sharded(
     let run_shard = |worker: &mut Network, shard: usize| -> ShardAgg {
         let mut machines: Vec<StubMachine> = Vec::with_capacity(clients / shards + 1);
         let mut clients_per_profile = [0u64; 4];
-        for (mi, ci) in (shard..clients).step_by(shards).enumerate() {
+        for ci in (shard..clients).step_by(shards) {
             let ci = ci as u64;
             let p = profile_index(ci);
             clients_per_profile[p] += 1;
@@ -303,21 +303,15 @@ pub fn stub_population_sharded(
                     auth_name: STUB_AUTH_NAME.into(),
                 },
             };
-            // Only the TLS profiles need trust anchors; empty stores keep
-            // the million-machine fleet lean.
-            let trust_store = if p >= 2 {
-                store.clone()
-            } else {
-                TrustStore::new()
-            };
+            // The anchors are shared, so every client's copy is a pointer;
+            // only the TLS profiles keep theirs.
             machines.push(StubMachine::new(
-                mi as u64,
-                ci,
+                ci as u32,
                 client_addr(ci),
                 StubConfig {
                     resolver: STUB_RESOLVER,
                     profile,
-                    trust_store,
+                    trust_store: store.clone(),
                     now,
                     timeout: SimDuration::from_secs(5),
                 },
@@ -327,15 +321,15 @@ pub fn stub_population_sharded(
         }
         // Stagger starts over ~1s of virtual time, keyed on the global
         // index so the fleet's schedule is shard-layout independent.
-        for m in machines.iter_mut() {
+        for (mi, m) in (0..).zip(&machines) {
             let ci = m.client_index();
-            m.start(worker, SimDuration::from_micros((ci % 1_009) * 977));
+            m.start(worker, mi, SimDuration::from_micros((ci % 1_009) * 977));
         }
         run_machines(worker, &mut machines);
 
         let mut per_profile = [StubMachineStats::default(); 4];
         for m in &machines {
-            per_profile[profile_index(m.client_index())].absorb(&m.stats);
+            per_profile[profile_index(m.client_index())].absorb(&m.stats());
         }
         ShardAgg {
             per_profile,

@@ -60,6 +60,37 @@ cargo test -q --offline -p doe-scanner --lib -- \
     verify::tests::classifies_open_refusing_and_junk \
     doh_discovery::tests::a_200_with_a_body_that_is_not_dns_does_not_work
 
+echo "==> lean stub fleet: 128-byte machines, shared TLS state, frames handed over"
+# The machine is exactly 128 B and 64-byte aligned: two cache lines.
+cargo test -q --offline -p doe-protocols --lib -- \
+    machine::tests::stub_machine_fits_its_footprint_budget
+# Peak live heap per client, 20,000 clients of each profile, within budget.
+cargo test -q --offline -p doe-traffic --test footprint
+# An accept shares the server config, a store clone shares its anchors,
+# a resumed session shares its ticket's chain, a flight is one buffer.
+cargo test -q --offline -p tlssim --test alloc_counts -- \
+    a_tls_accept_allocates_only_its_handler \
+    cloning_a_trust_store_allocates_nothing \
+    a_resumed_connect_copies_no_certificate_chain \
+    a_two_record_flight_is_one_allocation
+# The one-buffer flight holds exactly its records' own encodings.
+cargo test -q --offline -p tlssim --test properties -- \
+    a_mixed_flight_is_its_records_encoded_in_order
+# A shared store copies its anchors before it changes them.
+cargo test -q --offline -p tlssim --lib -- \
+    cert::tests::a_cloned_store_copies_its_anchors_on_write
+# RFC 7301: a resumed stream reports the negotiated protocol, and an
+# unoffered selection is refused.
+cargo test -q --offline -p tlssim --test end_to_end -- \
+    a_resumed_stream_keeps_the_negotiated_alpn \
+    a_server_selecting_an_unoffered_alpn_is_refused
+# A one-frame buffer is handed over without allocating, and a drained
+# decoder keeps nothing; pushes ending on frame boundaries reassemble.
+cargo test -q --offline -p dnswire --test alloc_counts -- \
+    a_one_frame_buffer_is_handed_over_and_nothing_is_kept
+cargo test -q --offline -p dnswire --test properties -- \
+    framing_reassembles_any_chunking
+
 echo "==> tlssim: pinned handshake bytes + hostile flights"
 # Handshake payloads are canonical JSON that tlssim's own codec writes
 # and reads. netsim charges transmission time per byte, so the gate pins
