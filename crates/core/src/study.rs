@@ -96,7 +96,7 @@ impl StudyConfig {
     /// parallelism when left at 0.
     pub fn effective_shards(&self) -> usize {
         if self.shards == 0 {
-            crossbeam::available_parallelism()
+            std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             self.shards
         }

@@ -612,18 +612,19 @@ mod tests {
     #[test]
     fn fills_stay_on_their_fork_while_pins_hit_on_every_fork() {
         let (mut net, client, resolver, front) = pinned(4096);
-        let mut first = net.fork_shard(1);
-        assert!(!hit(&ask(&mut first, client, resolver, "www.example.com")));
-        assert!(hit(&ask(&mut first, client, resolver, "www.example.com")));
-        assert_pin_answers(&mut first, client, resolver, front);
-        net.absorb_shard(first);
-
-        let mut second = net.fork_shard(2);
-        assert!(
-            !hit(&ask(&mut second, client, resolver, "www.example.com")),
-            "the first fork's fill left with it"
-        );
-        assert_pin_answers(&mut second, client, resolver, front);
+        // Two concurrent forks: each misses first, whatever the other did.
+        net.run_shards(2, |fork, _| {
+            assert!(!hit(&ask(fork, client, resolver, "www.example.com")));
+            assert!(hit(&ask(fork, client, resolver, "www.example.com")));
+            assert_pin_answers(fork, client, resolver, front);
+        });
+        net.run_shards(1, |fork, _| {
+            assert!(
+                !hit(&ask(fork, client, resolver, "www.example.com")),
+                "the earlier forks' fills left with them"
+            );
+            assert_pin_answers(fork, client, resolver, front);
+        });
     }
 
     #[test]

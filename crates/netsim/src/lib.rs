@@ -6,7 +6,7 @@
 //! offline, so this crate provides the closest synthetic equivalent: a
 //! seeded simulation of an internet that the *same measurement code* can
 //! run against — single-threaded by default, and shardable across worker
-//! threads via [`Network::fork_shard`] for zmap-style parallel sweeps.
+//! threads via [`Network::run_shards`] for zmap-style parallel sweeps.
 //!
 //! Design points (see DESIGN.md §4):
 //!

@@ -11,12 +11,11 @@
 //! * `ShardCtx` — the per-worker half: seeded RNG stream, virtual clock,
 //!   event log, handler-depth guard, probe counters and the typed state
 //!   services keep between queries ([`Network::shard_local`]). Forked
-//!   fresh per shard via [`Network::fork_shard`] and folded back with
-//!   [`Network::absorb_shard`].
+//!   fresh per shard and folded back by [`Network::run_shards`].
 //!
 //! Every public method still takes `&mut Network`, so single-shard callers
-//! see exactly the old API; parallel sweeps fork one `Network` value per
-//! worker and merge after join.
+//! see exactly the old API; parallel stages hand [`Network::run_shards`]
+//! one closure that it runs on a forked `Network` value per shard.
 
 use crate::geo::{region_of, Asn, CountryCode, GeoDb, Region};
 use crate::host::{HostMeta, PeerInfo};
@@ -35,6 +34,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
+use std::{panic, thread};
 
 /// Derive an independent RNG seed from a base seed and a salt (shard id,
 /// permutation index, ...). SplitMix64 finalizer over the mixed words, so
@@ -577,12 +577,54 @@ impl Network {
         }
     }
 
+    /// Run `f` once per shard on `shards` workers forked from this network
+    /// (zmap's `--shards` model; 0 counts as 1) and fold them back.
+    ///
+    /// Shard 0 runs on the calling thread and shards `1..` on scoped
+    /// threads, so one shard starts no thread. Each worker shares the data
+    /// plane, draws from its own RNG stream ([`mix_seed`] of the base seed
+    /// and its shard id) and starts at this network's clock with no
+    /// [`Network::shard_local`] state. After the join, the workers'
+    /// telemetry, charged time, trace logs and clock high-water marks are
+    /// absorbed in shard order and their shard-local state is dropped; the
+    /// outputs come back in the same order, one per shard. A shard's panic
+    /// is resumed here with its own payload once every shard has stopped;
+    /// if several panic, the lowest shard's wins.
+    pub fn run_shards<T: Send>(
+        &mut self,
+        shards: usize,
+        f: impl Fn(&mut Network, usize) -> T + Sync,
+    ) -> Vec<T> {
+        let mut workers: Vec<Network> = (0..shards.max(1) as u64)
+            .map(|s| self.fork_shard(s))
+            .collect();
+        let outputs = thread::scope(|scope| {
+            let f = &f;
+            let (first, rest) = workers.split_at_mut(1);
+            let spawned: Vec<_> = (1..)
+                .zip(rest)
+                .map(|(s, worker)| scope.spawn(move || f(worker, s)))
+                .collect();
+            let mut outputs = vec![f(&mut first[0], 0)];
+            outputs.extend(spawned.into_iter().map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| panic::resume_unwind(payload))
+            }));
+            outputs
+        });
+        for worker in workers {
+            self.absorb_shard(worker);
+        }
+        outputs
+    }
+
     /// Fork a worker view for shard `id`: the data plane is shared, the
     /// session state is fresh with an RNG stream derived from the base seed
     /// and the shard id ([`mix_seed`]). The fork starts at the parent's
     /// virtual time with an empty trace log of the same capacity and no
     /// [`Network::shard_local`] state.
-    pub fn fork_shard(&self, id: u64) -> Network {
+    pub(crate) fn fork_shard(&self, id: u64) -> Network {
         let log = if self.plane.cfg.trace_capacity > 0 {
             EventLog::with_capacity(self.plane.cfg.trace_capacity)
         } else {
@@ -606,9 +648,8 @@ impl Network {
     /// commutative, so the merged registry is shard-count invariant),
     /// charged time, trace events (in the worker's order) and clock
     /// high-water mark. The worker's [`Network::shard_local`] state is
-    /// dropped. Absorb workers in ascending shard order for deterministic
-    /// logs.
-    pub fn absorb_shard(&mut self, worker: Network) {
+    /// dropped.
+    pub(crate) fn absorb_shard(&mut self, worker: Network) {
         let worker_stats = worker.shard_stats();
         if worker.shard.now > self.shard.now {
             self.shard.now = worker.shard.now;
@@ -625,9 +666,9 @@ impl Network {
     ///
     /// Services keep state between queries here — a resolver's dynamic
     /// cache, a test's ground-truth log — so a worker mutates only what
-    /// its own `Network` owns. Forks start with no values and
-    /// [`Network::absorb_shard`] drops the worker's, so nothing one worker
-    /// stores is visible to another.
+    /// its own `Network` owns. [`Network::run_shards`] starts each worker
+    /// with no values and drops the workers' when it folds them back, so
+    /// nothing one worker stores is visible to another.
     pub fn shard_local<T: Default + Send + 'static, R>(
         &mut self,
         f: impl FnOnce(&mut T) -> R,
@@ -657,8 +698,9 @@ impl Network {
             .find_map(|value| value.downcast_mut::<T>())
     }
 
-    /// Per-shard counters recorded at each [`Network::absorb_shard`], in
-    /// absorption order: `(shard id, that worker's counters)`.
+    /// Per-shard counters recorded as [`Network::run_shards`] folds each
+    /// worker back, in absorption order: `(shard id, that worker's
+    /// counters)`.
     pub fn shard_breakdown(&self) -> &[(u64, ShardStats)] {
         &self.shard.breakdown
     }
@@ -672,11 +714,6 @@ impl Network {
     /// is the sole owner, clones the plane if shard forks are alive.
     fn plane_mut(&mut self) -> &mut DataPlane {
         Arc::make_mut(&mut self.plane)
-    }
-
-    /// This worker's shard id (0 for the root network).
-    pub fn shard_id(&self) -> u64 {
-        self.shard.id
     }
 
     /// The seed this network (and all its forks) derive randomness from.
@@ -1828,8 +1865,6 @@ mod tests {
         let (net, client, server) = echo_net(20);
         let mut a = net.fork_shard(1);
         let mut b = net.fork_shard(2);
-        assert_eq!(a.shard_id(), 1);
-        assert_eq!(b.shard_id(), 2);
         // Shared topology: both forks see the echo service.
         let ra = a.udp_query(client, server, 7, b"ping", None).unwrap();
         let rb = b.udp_query(client, server, 7, b"ping", None).unwrap();
@@ -1880,6 +1915,60 @@ mod tests {
         assert_eq!(stats.closed, 1);
         assert_eq!(stats.filtered, 1);
         assert_eq!(parent.log().len(), 3);
+    }
+
+    #[test]
+    fn run_shards_returns_outputs_and_absorbs_workers_in_shard_order() {
+        for shards in [1, 3, 8] {
+            let (mut net, client, server) = echo_net(24);
+            let outputs = net.run_shards(shards, |worker, s| {
+                worker.syn_probe(client, server, 7);
+                s
+            });
+            assert_eq!(outputs, (0..shards).collect::<Vec<_>>());
+            let ids: Vec<u64> = net.shard_breakdown().iter().map(|&(id, _)| id).collect();
+            assert_eq!(ids, (0..shards as u64).collect::<Vec<_>>());
+            assert_eq!(net.shard_stats().probes, shards as u64);
+            assert_eq!(net.log().len(), shards);
+        }
+    }
+
+    #[test]
+    fn run_shards_runs_shard_zero_on_the_calling_thread() {
+        let mut net = Network::new(NetworkConfig::default(), 25);
+        let caller = thread::current().id();
+        assert_eq!(
+            net.run_shards(1, |_, _| thread::current().id()),
+            [caller],
+            "one shard starts no thread"
+        );
+        let ids = net.run_shards(3, |_, _| thread::current().id());
+        assert_eq!(ids[0], caller);
+        assert!(ids[1..].iter().all(|&id| id != caller));
+        assert_ne!(ids[1], ids[2]);
+    }
+
+    #[test]
+    fn run_shards_returns_one_output_per_shard_when_shards_outnumber_items() {
+        let mut net = Network::new(NetworkConfig::default(), 26);
+        let items = [10u32, 20, 30];
+        let outputs = net.run_shards(8, |_, s| items.iter().skip(s).step_by(8).sum::<u32>());
+        assert_eq!(outputs, [10, 20, 30, 0, 0, 0, 0, 0]);
+        assert_eq!(net.shard_breakdown().len(), 8);
+    }
+
+    #[test]
+    fn run_shards_resumes_a_shard_panic_with_its_own_payload() {
+        let mut net = Network::new(NetworkConfig::default(), 27);
+        let caught = panic::catch_unwind(panic::AssertUnwindSafe(|| {
+            net.run_shards(4, |_, s| {
+                if s == 2 {
+                    panic!("boom in shard 2");
+                }
+            })
+        }));
+        let payload = caught.expect_err("the shard's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom in shard 2"));
     }
 
     #[test]

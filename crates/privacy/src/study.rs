@@ -185,33 +185,8 @@ pub fn privacy_study_sharded(
         out
     };
 
-    let mut outputs: Vec<(Network, Vec<FlowResult>)> = if shards == 1 {
-        let mut worker = net.fork_shard(0);
-        let results = run_shard(&mut worker, 0);
-        vec![(worker, results)]
-    } else {
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|s| {
-                    let mut worker = net.fork_shard(s as u64);
-                    let run_shard = &run_shard;
-                    scope.spawn(move || {
-                        let results = run_shard(&mut worker, s);
-                        (worker, results)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("privacy shard panicked"))
-                .collect()
-        })
-        .expect("privacy scope panicked")
-    };
-
     let mut results: Vec<FlowResult> = Vec::with_capacity(flows_total as usize);
-    for (worker, mut shard_results) in outputs.drain(..) {
-        net.absorb_shard(worker);
+    for mut shard_results in net.run_shards(shards, run_shard) {
         results.append(&mut shard_results);
     }
     // The canonical order: flow identity, independent of shard layout.

@@ -174,21 +174,10 @@ pub fn compact_space(world: &World) -> AddressSpace {
     AddressSpace::new(blocks.into_iter().collect())
 }
 
-/// Run one epoch's sweep + verification against the world's current state.
-///
-/// Equivalent to [`scan_epoch_sharded`] with one shard.
-pub fn scan_epoch(
-    world: &mut World,
-    space: &AddressSpace,
-    epoch: usize,
-    seed: u64,
-) -> EpochSummary {
-    scan_epoch_sharded(world, space, epoch, seed, 1)
-}
-
-/// Run one epoch split across `shards` worker threads. The summary is
-/// identical for every shard count — both the sweep and the verification
-/// pass key their randomness on the target, not the shard.
+/// Run one epoch's sweep + verification against the world's current
+/// state, split across `shards` workers. The summary is identical for
+/// every shard count — both the sweep and the verification pass key their
+/// randomness on the target, not the shard.
 pub fn scan_epoch_sharded(
     world: &mut World,
     space: &AddressSpace,
@@ -274,20 +263,9 @@ pub fn scan_epoch_sharded(
     }
 }
 
-/// Run the full campaign: `epochs` scans at the configured cadence.
-///
-/// Equivalent to [`run_campaign_sharded`] with one shard.
-pub fn run_campaign(
-    world: &mut World,
-    space: &AddressSpace,
-    epochs: usize,
-    seed: u64,
-) -> CampaignReport {
-    run_campaign_sharded(world, space, epochs, seed, 1)
-}
-
-/// Run the full campaign with each epoch's sweep and verification split
-/// across `shards` worker threads. The report is shard-count invariant.
+/// Run the full campaign: `epochs` scans at the configured cadence, each
+/// epoch's sweep and verification split across `shards` workers. The
+/// report is shard-count invariant.
 pub fn run_campaign_sharded(
     world: &mut World,
     space: &AddressSpace,
@@ -328,7 +306,7 @@ mod tests {
         // First and last epoch only, to keep the test quick.
         let first_date = world.config.scan_date(0);
         world.set_epoch(first_date);
-        let feb = scan_epoch(&mut world, &space, 0, 1);
+        let feb = scan_epoch_sharded(&mut world, &space, 0, 1, 1);
         let truth_feb = world.online_dot_resolvers();
         assert!(
             (feb.open_resolvers as i64 - truth_feb as i64).abs() <= truth_feb as i64 / 20,
@@ -338,7 +316,7 @@ mod tests {
 
         let last_date = world.config.scan_date(9);
         world.set_epoch(last_date);
-        let may = scan_epoch(&mut world, &space, 9, 1);
+        let may = scan_epoch_sharded(&mut world, &space, 9, 1, 1);
         let truth_may = world.online_dot_resolvers();
         assert!(may.open_resolvers > feb.open_resolvers, "growth");
         assert!(

@@ -38,12 +38,10 @@ pub mod sweep;
 pub mod verify;
 
 pub use atlas::{local_resolver_probe, AtlasReport};
-pub use campaign::{run_campaign, run_campaign_sharded, CampaignReport, EpochSummary};
+pub use campaign::{run_campaign_sharded, CampaignReport, EpochSummary};
 pub use doh_discovery::{discover_doh, DohDiscoveryReport, DohObservation};
 pub use observation::{CertClass, ObservationRow, ObservationTable};
 pub use permutation::{PermutationShard, RandomPermutation};
 pub use provider::provider_key;
-pub use sweep::{syn_sweep, syn_sweep_sharded, AddressSpace, SweepResult, SweepStats};
-pub use verify::{
-    verify_resolvers, verify_resolvers_sharded, DotObservation, ProbeTemplate, VerifyOutcome,
-};
+pub use sweep::{syn_sweep_sharded, AddressSpace, SweepResult, SweepStats};
+pub use verify::{verify_resolvers_sharded, DotObservation, ProbeTemplate, VerifyOutcome};

@@ -1,9 +1,9 @@
 //! Column-oriented (SoA) storage for per-host verification results.
 //!
-//! A full-scale sweep verifies 2–3M port-853-open hosts per epoch. Boxing
-//! each observation (a `Vec<DotObservation>` with its `String` provider
-//! key and `Vec<Certificate>` chain) costs hundreds of bytes per host, but
-//! the campaign aggregation only ever reads five small facts per host.
+//! A full-scale sweep verifies 2–3M port-853-open hosts per epoch. Keeping
+//! every observation as a `DotObservation` (each provider key its own
+//! `String`) costs several words per host, but the campaign aggregation
+//! only ever reads five small facts per host.
 //! [`ObservationTable`] packs those into parallel columns — eleven bytes a
 //! row plus a provider string-intern table — so ten epochs of full-scale
 //! observations fit in memory comfortably.
@@ -313,7 +313,6 @@ mod tests {
         DotObservation {
             addr: addr.parse().unwrap(),
             outcome,
-            chain: Vec::new(),
             cert_status,
             provider: provider.map(str::to_string),
             answer_correct,

@@ -78,20 +78,6 @@ pub struct SweepResult {
     pub stats: SweepStats,
 }
 
-/// Run a SYN sweep of `port` over `space`, rotating probes across
-/// `sources` (the paper used three hosts on two clouds).
-///
-/// Equivalent to [`syn_sweep_sharded`] with one shard.
-pub fn syn_sweep(
-    net: &mut Network,
-    sources: &[Ipv4Addr],
-    space: &AddressSpace,
-    port: u16,
-    seed: u64,
-) -> SweepResult {
-    syn_sweep_sharded(net, sources, space, port, seed, 1)
-}
-
 /// A probe result tagged with its permutation cycle position, the key the
 /// parent merges shard outputs on.
 type TaggedProbe = (u64, Ipv4Addr, ProbeOutcome);
@@ -125,14 +111,14 @@ fn sweep_shard(
     hits
 }
 
-/// Run the SYN sweep split across `shards` worker threads, zmap's
-/// `--shards` model: shard `s` probes the cycle positions `≡ s (mod
-/// shards)` of the scan permutation.
+/// Run a SYN sweep of `port` over `space`, rotating probes across
+/// `sources` (the paper used three hosts on two clouds), split across
+/// `shards` workers ([`Network::run_shards`]): shard `s` probes the cycle
+/// positions `≡ s (mod shards)` of the scan permutation.
 ///
 /// The result is bit-identical for every shard count (including 1):
 /// per-target randomness is derived from the target's permuted index, and
-/// shard outputs are merged back into cycle order. Worker clocks, traffic
-/// counters and event logs are absorbed into `net` after the join.
+/// shard outputs are merged back into cycle order.
 pub fn syn_sweep_sharded(
     net: &mut Network,
     sources: &[Ipv4Addr],
@@ -142,7 +128,7 @@ pub fn syn_sweep_sharded(
     shards: usize,
 ) -> SweepResult {
     assert!(!sources.is_empty(), "need at least one probe source");
-    let shards = shards.max(1) as u64;
+    let shards = shards.max(1);
     if space.is_empty() {
         return SweepResult {
             open_addrs: Vec::new(),
@@ -153,31 +139,11 @@ pub fn syn_sweep_sharded(
     // sweep's stats are the delta of the parent's `net.probe.*` counters
     // across the absorb, not a separately maintained tally.
     let before = net.shard_stats();
-    let mut outputs: Vec<(Network, Vec<TaggedProbe>)> = if shards == 1 {
-        let mut worker = net.fork_shard(0);
-        let hits = sweep_shard(&mut worker, sources, space, port, seed, 0, 1);
-        vec![(worker, hits)]
-    } else {
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|s| {
-                    let mut worker = net.fork_shard(s);
-                    scope.spawn(move || {
-                        let hits = sweep_shard(&mut worker, sources, space, port, seed, s, shards);
-                        (worker, hits)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep shard panicked"))
-                .collect()
-        })
-        .expect("sweep scope panicked")
-    };
+    let outputs = net.run_shards(shards, |worker, s| {
+        sweep_shard(worker, sources, space, port, seed, s as u64, shards as u64)
+    });
     let mut tagged: Vec<TaggedProbe> = Vec::with_capacity(space.len() as usize);
-    for (worker, hits) in outputs.drain(..) {
-        net.absorb_shard(worker);
+    for hits in outputs {
         tagged.extend(hits);
     }
     tagged.sort_unstable_by_key(|&(pos, _, _)| pos);
@@ -234,7 +200,7 @@ mod tests {
                 Arc::new(FnStreamService::new(|_c, _p, d: &[u8]| d.to_vec(), "echo")),
             );
         }
-        let result = syn_sweep(&mut net, &[src], &space, 853, 99);
+        let result = syn_sweep_sharded(&mut net, &[src], &space, 853, 99, 1);
         assert_eq!(result.stats.probed, 256);
         assert_eq!(result.stats.open, 2);
         assert_eq!(result.stats.closed, 1); // the port-80 host RSTs on 853
@@ -291,8 +257,8 @@ mod tests {
         let space = AddressSpace::new(vec![block("10.9.0.0", 26)]);
         let (mut n1, s1) = build();
         let (mut n2, s2) = build();
-        let r1 = syn_sweep(&mut n1, &[s1], &space, 853, 7);
-        let r2 = syn_sweep(&mut n2, &[s2], &space, 853, 7);
+        let r1 = syn_sweep_sharded(&mut n1, &[s1], &space, 853, 7, 1);
+        let r2 = syn_sweep_sharded(&mut n2, &[s2], &space, 853, 7, 1);
         assert_eq!(r1.stats, r2.stats);
     }
 }

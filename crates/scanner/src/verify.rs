@@ -16,7 +16,7 @@ use doe_protocols::dot::DotClient;
 use netsim::telemetry::{CounterId, Labels, Registry, Span};
 use netsim::{mix_seed, Network};
 use std::net::Ipv4Addr;
-use tlssim::{classify_chain, CertStatus, Certificate, DateStamp, TlsClientConfig, TrustStore};
+use tlssim::{classify_chain, CertStatus, DateStamp, TlsClientConfig, TrustStore};
 
 /// EDNS padding block applied to probe queries (RFC 8467 policy, matches
 /// [`DotClient`]'s default).
@@ -101,15 +101,13 @@ pub enum VerifyOutcome {
 /// Full observation for one host.
 ///
 /// This is the transient, per-probe result; the campaign stores the packed
-/// [`ObservationTable`] instead (which drops the `chain`).
+/// [`ObservationTable`] instead.
 #[derive(Debug, Clone)]
 pub struct DotObservation {
     /// The probed address.
     pub addr: Ipv4Addr,
     /// Outcome class.
     pub outcome: VerifyOutcome,
-    /// Presented certificate chain (when TLS completed).
-    pub chain: Vec<Certificate>,
     /// Classification against the trust store (when TLS completed).
     pub cert_status: Option<CertStatus>,
     /// Provider grouping key from the leaf CN.
@@ -209,14 +207,13 @@ fn verify_one(
             } else {
                 VerifyOutcome::NotTls
             },
-            chain: Vec::new(),
             cert_status: None,
             provider: None,
             answer_correct: None,
         },
         Ok(mut session) => {
-            let chain = session.server_chain().to_vec();
-            let cert_status = Some(classify_chain(&chain, store, now));
+            let chain = session.server_chain();
+            let cert_status = Some(classify_chain(chain, store, now));
             let provider = chain.first().map(|leaf| provider_key(&leaf.subject_cn));
             let (outcome, answer_correct) = match session.query_wire(net, frame) {
                 Ok(reply) => match reply.view().rcode() {
@@ -234,38 +231,12 @@ fn verify_one(
             DotObservation {
                 addr,
                 outcome,
-                chain,
                 cert_status,
                 provider,
                 answer_correct,
             }
         }
     }
-}
-
-/// Probe every open-853 address with a DoT query for a unique name under
-/// `probe_apex`, rotating probes across `sources` like the SYN sweep;
-/// classify certificates against `store` as of `now`.
-///
-/// The scanner does not know resolver names, so no hostname verification
-/// is attempted (§3.2) — the TLS layer runs in no-verify mode and the
-/// chain is classified after the fact, openssl-style.
-///
-/// Equivalent to [`verify_resolvers_sharded`] with one shard.
-#[allow(clippy::too_many_arguments)]
-pub fn verify_resolvers(
-    net: &mut Network,
-    sources: &[Ipv4Addr],
-    candidates: &[Ipv4Addr],
-    probe_apex: &str,
-    expected_a: Ipv4Addr,
-    store: &TrustStore,
-    now: DateStamp,
-    epoch_tag: &str,
-) -> ObservationTable {
-    verify_resolvers_sharded(
-        net, sources, candidates, probe_apex, expected_a, store, now, epoch_tag, 1,
-    )
 }
 
 /// One shard's verification pass over the candidates it owns
@@ -306,13 +277,19 @@ fn verify_shard(
     table
 }
 
-/// Run resolver verification split across `shards` worker threads.
+/// Probe every open-853 address with a DoT query for a unique name under
+/// `probe_apex`, rotating probes across `sources` like the SYN sweep;
+/// classify certificates against `store` as of `now`.
 ///
-/// Candidate `i` goes to shard `i mod shards`, keeps its global query
-/// name/id, and draws per-candidate randomness from the campaign seed —
-/// so the merged observation table is identical for every shard count.
-/// Worker clocks, counters and logs are absorbed into `net` after the
-/// join.
+/// The scanner does not know resolver names, so no hostname verification
+/// is attempted (§3.2) — the TLS layer runs in no-verify mode and the
+/// chain is classified after the fact, openssl-style.
+///
+/// The candidates are split across `shards` workers
+/// ([`Network::run_shards`]): candidate `i` goes to shard `i mod shards`,
+/// keeps its global query name/id, and draws per-candidate randomness
+/// from the campaign seed — so the merged observation table is identical
+/// for every shard count.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_resolvers_sharded(
     net: &mut Network,
@@ -332,56 +309,11 @@ pub fn verify_resolvers_sharded(
     }
     let template = ProbeTemplate::build(epoch_tag, probe_apex).expect("probe template encodes");
     let epoch_salt = net.base_seed() ^ fnv1a(epoch_tag);
-    let mut outputs: Vec<(Network, ObservationTable)> = if shards == 1 {
-        let mut worker = net.fork_shard(0);
-        let table = verify_shard(
-            &mut worker,
-            sources,
-            candidates,
-            &template,
-            expected_a,
-            store,
-            now,
-            0,
-            1,
-            epoch_salt,
-        );
-        vec![(worker, table)]
-    } else {
-        crossbeam::scope(|scope| {
-            let template = &template;
-            let handles: Vec<_> = (0..shards)
-                .map(|s| {
-                    let mut worker = net.fork_shard(s as u64);
-                    scope.spawn(move || {
-                        let table = verify_shard(
-                            &mut worker,
-                            sources,
-                            candidates,
-                            template,
-                            expected_a,
-                            store,
-                            now,
-                            s,
-                            shards,
-                            epoch_salt,
-                        );
-                        (worker, table)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("verify shard panicked"))
-                .collect()
-        })
-        .expect("verify scope panicked")
-    };
-    let mut tables: Vec<ObservationTable> = Vec::with_capacity(outputs.len());
-    for (worker, table) in outputs.drain(..) {
-        net.absorb_shard(worker);
-        tables.push(table);
-    }
+    let tables = net.run_shards(shards, |worker, s| {
+        verify_shard(
+            worker, sources, candidates, &template, expected_a, store, now, s, shards, epoch_salt,
+        )
+    });
     ObservationTable::merge_striped(&tables)
 }
 
@@ -499,7 +431,7 @@ mod tests {
 
     fn run(f: &mut Fixture, addrs: &[&str]) -> ObservationTable {
         let candidates: Vec<Ipv4Addr> = addrs.iter().map(|s| s.parse().unwrap()).collect();
-        verify_resolvers(
+        verify_resolvers_sharded(
             &mut f.net,
             &[f.src],
             &candidates,
@@ -508,6 +440,7 @@ mod tests {
             &f.store.clone(),
             now(),
             "t",
+            1,
         )
     }
 

@@ -264,9 +264,9 @@ struct ShardAgg {
 }
 
 /// Run `cfg.clients` event-driven stub clients distributed over `shards`
-/// worker threads (client `i` → shard `i mod shards`). Every machine
-/// performs one bounded step per fired event, so a single shard holds
-/// the whole population concurrently instead of one client at a time.
+/// workers (client `i` → shard `i mod shards`). Every machine performs
+/// one bounded step per fired event, so a single shard holds the whole
+/// population concurrently instead of one client at a time.
 pub fn stub_population_sharded(
     world: &mut StubWorld,
     cfg: &StubPopulationConfig,
@@ -338,35 +338,10 @@ pub fn stub_population_sharded(
         }
     };
 
-    let mut outputs: Vec<(Network, ShardAgg)> = if shards == 1 {
-        let mut worker = world.net.fork_shard(0);
-        let agg = run_shard(&mut worker, 0);
-        vec![(worker, agg)]
-    } else {
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|s| {
-                    let mut worker = world.net.fork_shard(s as u64);
-                    let run_shard = &run_shard;
-                    scope.spawn(move || {
-                        let agg = run_shard(&mut worker, s);
-                        (worker, agg)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stub population shard panicked"))
-                .collect()
-        })
-        .expect("stub population scope panicked")
-    };
-
     let mut per_profile = [StubMachineStats::default(); 4];
     let mut clients_per_profile = [0u64; 4];
     let mut sched = SchedLoad::default();
-    for (worker, agg) in outputs.drain(..) {
-        world.net.absorb_shard(worker);
+    for agg in world.net.run_shards(shards, run_shard) {
         for p in 0..4 {
             per_profile[p].absorb(&agg.per_profile[p]);
             clients_per_profile[p] += agg.clients_per_profile[p];

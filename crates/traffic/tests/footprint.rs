@@ -65,44 +65,45 @@ const CLIENTS: u32 = 20_000;
 /// Peak live heap bytes per client of a `CLIENTS`-strong fleet of one
 /// profile, each client asking the fleet's two queries.
 fn peak_heap_per_client(profile: StubProfile) -> f64 {
-    let world = build_stub_world(2019, true);
-    let mut worker = world.net.fork_shard(0);
+    let mut world = build_stub_world(2019, true);
     let pacing = Arc::new(StubPacing {
         queries_per_client: 2,
         ..StubPacing::new(world.apex.clone())
     });
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|peak| peak.set(base));
+    let (store, now) = (&world.store, world.now);
+    let peaks = world.net.run_shards(1, |worker, _| {
+        let base = LIVE.with(Cell::get);
+        PEAK.with(|peak| peak.set(base));
 
-    let first = u32::from(Ipv4Addr::new(100, 64, 0, 1));
-    let mut machines = Vec::with_capacity(CLIENTS as usize);
-    for client in 0..CLIENTS {
-        machines.push(StubMachine::new(
-            client,
-            Ipv4Addr::from(first + client),
-            StubConfig {
-                resolver: STUB_RESOLVER,
-                profile: profile.clone(),
-                trust_store: world.store.clone(),
-                now: world.now,
-                timeout: SimDuration::from_secs(5),
-            },
-            Arc::clone(&pacing),
-            mix_seed(28, client.into()),
-        ));
-    }
-    for (index, m) in (0..).zip(&machines) {
-        let delay = SimDuration::from_micros((m.client_index() % 1_009) * 977);
-        m.start(&mut worker, index, delay);
-    }
-    run_machines(&mut worker, &mut machines);
-    for m in &machines {
-        let stats = m.stats();
-        assert_eq!((stats.queries, stats.answered), (2, 2), "{profile:?}");
-    }
-
-    let peak = PEAK.with(Cell::get) - base;
-    peak as f64 / f64::from(CLIENTS)
+        let first = u32::from(Ipv4Addr::new(100, 64, 0, 1));
+        let mut machines = Vec::with_capacity(CLIENTS as usize);
+        for client in 0..CLIENTS {
+            machines.push(StubMachine::new(
+                client,
+                Ipv4Addr::from(first + client),
+                StubConfig {
+                    resolver: STUB_RESOLVER,
+                    profile: profile.clone(),
+                    trust_store: store.clone(),
+                    now,
+                    timeout: SimDuration::from_secs(5),
+                },
+                Arc::clone(&pacing),
+                mix_seed(28, client.into()),
+            ));
+        }
+        for (index, m) in (0..).zip(&machines) {
+            let delay = SimDuration::from_micros((m.client_index() % 1_009) * 977);
+            m.start(worker, index, delay);
+        }
+        run_machines(worker, &mut machines);
+        for m in &machines {
+            let stats = m.stats();
+            assert_eq!((stats.queries, stats.answered), (2, 2), "{profile:?}");
+        }
+        PEAK.with(Cell::get) - base
+    });
+    peaks[0] as f64 / f64::from(CLIENTS)
 }
 
 /// Measured peaks, each rounded up by less than 5%: UDP 174.7 B, TCP

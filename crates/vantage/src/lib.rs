@@ -28,12 +28,12 @@ pub mod reachability;
 pub mod socks;
 
 pub use performance::{
-    fresh_connection_test, performance_test, performance_test_sharded, CountryPerformance,
-    FreshConnectionRow, PerfObservation, PerformanceReport,
+    fresh_connection_test, performance_test_sharded, CountryPerformance, FreshConnectionRow,
+    PerfObservation, PerformanceReport,
 };
 pub use pool::{Tunnel, VantagePool};
 pub use reachability::{
-    reachability_test, reachability_test_sharded, ForensicFinding, InterceptionFinding, Outcome,
-    ReachabilityReport, ResolverTargets, TransportKind,
+    reachability_test_sharded, ForensicFinding, InterceptionFinding, Outcome, ReachabilityReport,
+    ResolverTargets, TransportKind,
 };
 pub use socks::{Socks5Client, Socks5RelayService};

@@ -399,28 +399,17 @@ impl EventMachine for PerfMachine {
     }
 }
 
-/// Run the reused-connection performance test against Cloudflare (the
-/// paper's Figure 9/10 subject): `queries` exchanges per protocol per
-/// client, medians of observed `T_R` (tunnel + on-path time).
-///
-/// Equivalent to [`performance_test_sharded`] with one shard.
-pub fn performance_test(
-    world: &mut World,
-    clients: &[ClientInfo],
-    tunnel: Tunnel,
-    queries: u32,
-) -> PerformanceReport {
-    performance_test_sharded(world, clients, tunnel, queries, 1)
-}
-
 /// One shard's output: per-client observations tagged with the global
 /// client index the parent merges on (`None` = client skipped).
 type PerfShardOut = Vec<(usize, Option<PerfObservation>)>;
 
-/// Run the performance test with clients distributed over `shards` worker
-/// threads (client `i` → shard `i mod shards`). Per-client randomness and
-/// serials are keyed on the client index, so the report is identical for
-/// every shard count.
+/// Run the reused-connection performance test against Cloudflare (the
+/// paper's Figure 9/10 subject): `queries` exchanges per protocol per
+/// client, medians of observed `T_R` (tunnel + on-path time).
+///
+/// The clients are distributed over `shards` workers (client `i` → shard
+/// `i mod shards`). Per-client randomness and serials are keyed on the
+/// client index, so the report is identical for every shard count.
 pub fn performance_test_sharded(
     world: &mut World,
     clients: &[ClientInfo],
@@ -481,33 +470,8 @@ pub fn performance_test_sharded(
             .collect()
     };
 
-    let mut outputs: Vec<(Network, PerfShardOut)> = if shards == 1 {
-        let mut worker = world.net.fork_shard(0);
-        let found = run_shard(&mut worker, 0);
-        vec![(worker, found)]
-    } else {
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|s| {
-                    let mut worker = world.net.fork_shard(s as u64);
-                    let run_shard = &run_shard;
-                    scope.spawn(move || {
-                        let found = run_shard(&mut worker, s);
-                        (worker, found)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("performance shard panicked"))
-                .collect()
-        })
-        .expect("performance scope panicked")
-    };
-
     let mut tagged: Vec<(usize, Option<PerfObservation>)> = Vec::with_capacity(clients.len());
-    for (worker, found) in outputs.drain(..) {
-        world.net.absorb_shard(worker);
+    for found in world.net.run_shards(shards, run_shard) {
         tagged.extend(found);
     }
     tagged.sort_by_key(|&(ci, _)| ci);
@@ -728,7 +692,7 @@ mod tests {
             .cloned()
             .collect();
         assert!(clients.len() >= 10);
-        let report = performance_test(&mut world, &clients, tunnel, 20);
+        let report = performance_test_sharded(&mut world, &clients, tunnel, 20, 1);
         assert!(report.observations.len() >= 10);
         // Finding 3.1: single-digit-to-low-tens ms overheads.
         let (dot_mean, dot_median) = report.global_dot;
@@ -756,7 +720,7 @@ mod tests {
             .cloned()
             .collect();
         assert!(clients.len() >= 5, "need IN clients");
-        let report = performance_test(&mut world, &clients, tunnel, 20);
+        let report = performance_test_sharded(&mut world, &clients, tunnel, 20, 1);
         let india = report
             .per_country
             .iter()

@@ -538,27 +538,16 @@ impl EventMachine for ReachMachine {
     }
 }
 
-/// Run the reachability test for `clients` against the standard targets.
+/// Run the reachability test for `clients` against the standard targets,
+/// with the clients distributed over `shards` workers (client `i` → shard
+/// `i mod shards`).
 ///
 /// `forensics_on` names the resolver whose DoT failures trigger the
 /// port-probe/webpage investigation (the paper used Cloudflare because of
 /// its known 1.1.1.1 conflicts and platform rate limits).
 ///
-/// Equivalent to [`reachability_test_sharded`] with one shard.
-pub fn reachability_test(
-    world: &mut World,
-    clients: &[ClientInfo],
-    forensics_on: &str,
-) -> ReachabilityReport {
-    reachability_test_sharded(world, clients, forensics_on, 1)
-}
-
-/// Run the reachability test with clients distributed over `shards`
-/// worker threads (client `i` → shard `i mod shards`).
-///
 /// Each client's randomness and query serials are keyed on its index, so
-/// the report is identical for every shard count. Worker clocks, counters
-/// and logs are absorbed into the world's network after the join.
+/// the report is identical for every shard count.
 pub fn reachability_test_sharded(
     world: &mut World,
     clients: &[ClientInfo],
@@ -618,33 +607,8 @@ pub fn reachability_test_sharded(
             .collect()
     };
 
-    let mut outputs: Vec<(Network, Vec<(usize, ClientFindings)>)> = if shards == 1 {
-        let mut worker = world.net.fork_shard(0);
-        let found = run_shard(&mut worker, 0);
-        vec![(worker, found)]
-    } else {
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|s| {
-                    let mut worker = world.net.fork_shard(s as u64);
-                    let run_shard = &run_shard;
-                    scope.spawn(move || {
-                        let found = run_shard(&mut worker, s);
-                        (worker, found)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("reachability shard panicked"))
-                .collect()
-        })
-        .expect("reachability scope panicked")
-    };
-
     let mut tagged: Vec<(usize, ClientFindings)> = Vec::with_capacity(clients.len());
-    for (worker, found) in outputs.drain(..) {
-        world.net.absorb_shard(worker);
+    for found in world.net.run_shards(shards, run_shard) {
         tagged.extend(found);
     }
     tagged.sort_by_key(|&(ci, _)| ci);
@@ -706,7 +670,7 @@ mod tests {
     fn reachability_recovers_paper_shape_at_test_scale() {
         let mut world = worldgen::World::build(WorldConfig::test_scale(23));
         let clients = world.proxyrack.clients.clone();
-        let report = reachability_test(&mut world, &clients, "Cloudflare");
+        let report = reachability_test_sharded(&mut world, &clients, "Cloudflare", 1);
         let n = report.clients_tested as f64;
 
         // Finding 2.1 shapes: Cloudflare clear-text fails for ~16% of
@@ -794,7 +758,7 @@ mod tests {
         let clients = world.zhima.clients.clone();
         // Subsample for speed: every 4th client.
         let sample: Vec<_> = clients.iter().step_by(4).cloned().collect();
-        let report = reachability_test(&mut world, &sample, "Cloudflare");
+        let report = reachability_test_sharded(&mut world, &sample, "Cloudflare", 1);
         let n = report.clients_tested as f64;
 
         // Google DoH is ~fully blocked from CN (Finding 2.2).
@@ -831,9 +795,9 @@ mod tests {
         let pool_b: Vec<_> = world.zhima.clients.iter().take(3).cloned().collect();
 
         let start = world.take_probe_serials(0);
-        reachability_test(&mut world, &pool_a, "Cloudflare");
+        reachability_test_sharded(&mut world, &pool_a, "Cloudflare", 1);
         let after_a = world.take_probe_serials(0);
-        reachability_test(&mut world, &pool_b, "Cloudflare");
+        reachability_test_sharded(&mut world, &pool_b, "Cloudflare", 1);
         let after_b = world.take_probe_serials(0);
 
         let block_a = after_a - start;

@@ -5,7 +5,7 @@
 //! cargo run --release --example reachability_study
 //! ```
 
-use doe_vantage::reachability::{reachability_test, TransportKind};
+use doe_vantage::reachability::{reachability_test_sharded, TransportKind};
 use worldgen::{World, WorldConfig};
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
         "testing {} global vantage points against Cloudflare / Google / Quad9 / self-built...\n",
         clients.len()
     );
-    let report = reachability_test(&mut world, &clients, "Cloudflare");
+    let report = reachability_test_sharded(&mut world, &clients, "Cloudflare", 1);
 
     println!(
         "{:<12} {:<6} {:>9} {:>11} {:>9}",

@@ -8,7 +8,7 @@
 //! space, verifies DoT with application-layer probes, classifies
 //! certificates, groups providers, and greps the URL corpus for DoH.
 
-use doe_scanner::campaign::{compact_space, scan_epoch};
+use doe_scanner::campaign::{compact_space, scan_epoch_sharded};
 use doe_scanner::{discover_doh, CertClass};
 use worldgen::{World, WorldConfig};
 
@@ -25,7 +25,7 @@ fn main() {
     for (label, epoch) in [("first scan (Feb 1)", 0usize), ("final scan (May 1)", 9)] {
         let date = world.config.scan_date(epoch);
         world.set_epoch(date);
-        let summary = scan_epoch(&mut world, &space, epoch, 42);
+        let summary = scan_epoch_sharded(&mut world, &space, epoch, 42, 1);
         println!("== {label} — {} ==", summary.date);
         println!("  port 853 open      : {}", summary.stats.open);
         println!("  open DoT resolvers : {}", summary.open_resolvers);

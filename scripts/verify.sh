@@ -15,6 +15,37 @@ cargo build --release --offline
 echo "==> tier-1: cargo test -q"
 cargo test -q --offline --workspace
 
+echo "==> doe-bench: builds against the libraries, unit tests + smoke harness"
+# doe-bench links `syn_sweep_sharded`, `verify_resolvers_sharded`, `Study`
+# and `StudyConfig`, so a library change that breaks it fails here rather
+# than when the benchmark next runs. Building it rewrites its lock file
+# (patch entries no crate uses), so the file is put back afterwards and
+# nothing under doe-bench/ changes.
+mkdir -p target
+cp doe-bench/Cargo.lock target/doe-bench.Cargo.lock
+bench_status=0
+cargo test -q --release --offline --manifest-path doe-bench/Cargo.toml || bench_status=$?
+mv target/doe-bench.Cargo.lock doe-bench/Cargo.lock
+[ "$bench_status" -eq 0 ] || {
+    echo "FAIL: doe-bench does not build or pass its tests against the libraries" >&2
+    exit 1
+}
+
+echo "==> netsim: one shard runner behind every sharded stage"
+# Outputs and absorbed workers (`shard_breakdown` ids) come back in shard
+# order 0..n for 1, 3 and 8 shards.
+cargo test -q --offline -p netsim --lib -- \
+    net::tests::run_shards_returns_outputs_and_absorbs_workers_in_shard_order
+# Shard 0 runs on the calling thread, so `--shards 1` starts no thread.
+cargo test -q --offline -p netsim --lib -- \
+    net::tests::run_shards_runs_shard_zero_on_the_calling_thread
+# More shards than work items still gives one output per shard.
+cargo test -q --offline -p netsim --lib -- \
+    net::tests::run_shards_returns_one_output_per_shard_when_shards_outnumber_items
+# A shard's panic reaches the caller with that shard's own payload.
+cargo test -q --offline -p netsim --lib -- \
+    net::tests::run_shards_resumes_a_shard_panic_with_its_own_payload
+
 echo "==> dnswire: round trips + pinned errors + pinned bytes + allocations"
 # `MessageView::parse` is the only DNS validation walk; the owned
 # `Message::decode` is that parse plus a copy. The gate checks that the

@@ -18,7 +18,7 @@ fn scanner_recovers_deployment_ground_truth() {
     let space = doe_scanner::campaign::compact_space(&world);
     let date = world.config.scan_date(0);
     world.set_epoch(date);
-    let summary = doe_scanner::campaign::scan_epoch(&mut world, &space, 0, 5);
+    let summary = doe_scanner::campaign::scan_epoch_sharded(&mut world, &space, 0, 5, 1);
 
     // Every *measured* open resolver corresponds to a ground-truth
     // deployment that is online and answers queries.
