@@ -66,8 +66,9 @@ pub fn table3(study: &mut Study) -> ExperimentResult {
 
 /// Table 4: reachability results per resolver × transport × platform.
 pub fn table4(study: &mut Study) -> ExperimentResult {
+    // Cloned: the global report is held while `reach_cn` runs.
     let global = study.reach_global().clone();
-    let censored = study.reach_cn().clone();
+    let censored = study.reach_cn();
     let mut table = TextTable::new(vec![
         "Platform",
         "Resolver",
@@ -79,7 +80,7 @@ pub fn table4(study: &mut Study) -> ExperimentResult {
     let mut payload = Vec::new();
     for (platform, report) in [
         ("ProxyRack (Global)", &global),
-        ("Zhima (Censored, CN)", &censored),
+        ("Zhima (Censored, CN)", censored),
     ] {
         for (resolver, row) in &report.matrix {
             for transport in [TransportKind::Dns, TransportKind::Dot, TransportKind::Doh] {
@@ -130,7 +131,7 @@ pub fn table4(study: &mut Study) -> ExperimentResult {
 
 /// Table 5: ports open on 1.1.1.1 as probed from failing clients.
 pub fn table5(study: &mut Study) -> ExperimentResult {
-    let report = study.reach_global().clone();
+    let report = study.reach_global();
     let (hist, none) = report.port_histogram();
     let mut table = TextTable::new(vec!["Port", "# Clients", "Notes"]);
     table.row(vec![
@@ -192,7 +193,7 @@ pub fn table5(study: &mut Study) -> ExperimentResult {
 
 /// Table 6: clients affected by TLS interception.
 pub fn table6(study: &mut Study) -> ExperimentResult {
-    let report = study.reach_global().clone();
+    let report = study.reach_global();
     let mut table = TextTable::new(vec![
         "Client (/24)",
         "Country",
@@ -244,7 +245,7 @@ pub fn table6(study: &mut Study) -> ExperimentResult {
 
 /// Figure 9: per-country latency overhead with reused connections.
 pub fn figure9(study: &mut Study) -> ExperimentResult {
-    let report = study.performance().clone();
+    let report = study.performance();
     let mut table = TextTable::new(vec![
         "Country",
         "Clients",
@@ -297,7 +298,7 @@ pub fn figure9(study: &mut Study) -> ExperimentResult {
 
 /// Figure 10: the per-client scatter of Do53 vs encrypted latency.
 pub fn figure10(study: &mut Study) -> ExperimentResult {
-    let report = study.performance().clone();
+    let report = study.performance();
     let n = report.observations.len().max(1);
     let near = |delta: f64| {
         let dot = report
@@ -353,7 +354,7 @@ pub fn figure10(study: &mut Study) -> ExperimentResult {
 /// concurrent stub resolvers in one run, with connection reuse, timeouts
 /// and retransmits all delivered as scheduled events.
 pub fn stub_scale(study: &mut Study) -> ExperimentResult {
-    let report = study.stub_population().clone();
+    let report = study.stub_population();
     let t = &report.totals;
 
     let mut profiles = TextTable::new(vec![

@@ -15,7 +15,7 @@ use serde_json::json;
 
 /// The `padding-leakage` experiment.
 pub fn padding_leakage(study: &mut Study) -> ExperimentResult {
-    let report = study.privacy().clone();
+    let report = study.privacy();
 
     let mut table = TextTable::new(vec![
         "Policy",

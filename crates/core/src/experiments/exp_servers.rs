@@ -9,7 +9,7 @@ use serde_json::json;
 /// Figure 3: open DoT resolvers identified by each scan, split by the
 /// biggest providers.
 pub fn figure3(study: &mut Study) -> ExperimentResult {
-    let report = study.campaign().clone();
+    let report = study.campaign();
     let mut table = TextTable::new(vec![
         "Scan date",
         "Port-853 open",
@@ -63,7 +63,7 @@ pub fn figure3(study: &mut Study) -> ExperimentResult {
 
 /// Table 2: top countries of open DoT resolvers, first vs last scan.
 pub fn table2(study: &mut Study) -> ExperimentResult {
-    let report = study.campaign().clone();
+    let report = study.campaign();
     let growth = report.country_growth();
     let mut table = TextTable::new(vec!["CC", "First scan", "Final scan", "Growth"]);
     for (cc, first, last, pct_growth) in growth.iter().take(10) {
@@ -93,7 +93,7 @@ pub fn table2(study: &mut Study) -> ExperimentResult {
 
 /// Figure 4: providers of open DoT resolvers and their certificate health.
 pub fn figure4(study: &mut Study) -> ExperimentResult {
-    let report = study.campaign().clone();
+    let report = study.campaign();
     let mut table = TextTable::new(vec![
         "Scan date",
         "Providers",

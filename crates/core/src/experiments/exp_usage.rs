@@ -21,6 +21,7 @@ fn resolver_labels() -> BTreeMap<Ipv4Addr, String> {
 /// Figure 11: monthly DoT flows to Cloudflare and Quad9.
 pub fn figure11(study: &mut Study) -> ExperimentResult {
     let do53_estimate = study.traffic().do53_monthly_estimate;
+    // Cloned: the records are held while `world.net.metrics_mut()` is written.
     let records = study.traffic().records.clone();
     let report = analyze_dot_metered(&records, &resolver_labels(), study.world.net.metrics_mut());
     let months: Vec<String> = {
@@ -77,6 +78,7 @@ pub fn figure11(study: &mut Study) -> ExperimentResult {
 
 /// Figure 12: per-/24 DoT traffic concentration and churn.
 pub fn figure12(study: &mut Study) -> ExperimentResult {
+    // Cloned: the records are held while `world.net.metrics_mut()` is written.
     let records = study.traffic().records.clone();
     let report = analyze_dot_metered(&records, &resolver_labels(), study.world.net.metrics_mut());
     let (short_blocks, short_traffic) = report.short_lived(7);
@@ -130,7 +132,7 @@ pub fn figure13(study: &mut Study) -> ExperimentResult {
             top.len(),
         )
     };
-    let db = study.pdns_360().clone();
+    let db = study.pdns_360();
     let months = ["2018-07", "2018-09", "2018-11", "2019-01", "2019-03"];
     let mut header = vec!["Domain".to_string()];
     header.extend(months.iter().map(|m| m.to_string()));
@@ -167,9 +169,9 @@ pub fn figure13(study: &mut Study) -> ExperimentResult {
 
 /// §5.2's validation: the observed DoT client networks are not scanners.
 pub fn scandet(study: &mut Study) -> ExperimentResult {
-    let scanner_sources = study.traffic().scanner_sources.clone();
-    let records = study.traffic().records.clone();
-    let verdicts = detect_scanners(&records, 853, ScanDetectorConfig::default());
+    let traffic = study.traffic();
+    let scanner_sources = &traffic.scanner_sources;
+    let verdicts = detect_scanners(&traffic.records, 853, ScanDetectorConfig::default());
     let scanners: Vec<_> = verdicts
         .iter()
         .filter(|(_, v)| **v == ScanVerdict::Scanner)

@@ -5,8 +5,9 @@
 //! `String`) costs several words per host, but the campaign aggregation
 //! only ever reads five small facts per host.
 //! [`ObservationTable`] packs those into parallel columns — eleven bytes a
-//! row plus a provider string-intern table — so ten epochs of full-scale
-//! observations fit in memory comfortably.
+//! row plus a provider string-intern table, about 27 MB for a full-space
+//! epoch's 2.5M candidates. A one-shard verification hands its table over
+//! as the epoch's table; only a sharded one is merged into a new table.
 
 use crate::verify::{DotObservation, VerifyOutcome};
 use dnswire::Rcode;
@@ -286,7 +287,13 @@ impl ObservationTable {
     /// produced exactly one row each, so the global sequence is a strided
     /// round-robin over the shard tables. Provider keys are re-interned in
     /// merged order, which makes the result independent of the shard count.
-    pub fn merge_striped(shards: &[ObservationTable]) -> ObservationTable {
+    /// A single shard's table is already in that order and is handed back
+    /// as it is, without a copy.
+    pub fn merge_striped(shards: Vec<ObservationTable>) -> ObservationTable {
+        let shards = match <[ObservationTable; 1]>::try_from(shards) {
+            Ok([table]) => return table,
+            Err(shards) => shards,
+        };
         let total: usize = shards.iter().map(ObservationTable::len).sum();
         let mut merged = ObservationTable::with_capacity(total);
         let mut cursors = vec![0usize; shards.len()];
@@ -392,7 +399,7 @@ mod tests {
                 t
             })
             .collect();
-        let merged = ObservationTable::merge_striped(&tables);
+        let merged = ObservationTable::merge_striped(tables);
         assert_eq!(merged.len(), all.len());
         for (k, s) in all.iter().enumerate() {
             assert_eq!(merged.row(k).addr, s.addr);

@@ -314,7 +314,7 @@ pub fn verify_resolvers_sharded(
             worker, sources, candidates, &template, expected_a, store, now, s, shards, epoch_salt,
         )
     });
-    ObservationTable::merge_striped(&tables)
+    ObservationTable::merge_striped(tables)
 }
 
 #[cfg(test)]

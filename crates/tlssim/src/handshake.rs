@@ -92,21 +92,13 @@ impl HandshakeMsg {
                 out.extend_from_slice(b"}}");
                 out
             }
-            HandshakeMsg::ServerHello(sh) => {
-                let mut out = Vec::with_capacity(128 + 320 * sh.chain.len());
-                out.extend_from_slice(br#"{"ServerHello":{"server_random":"#);
-                put_u64(&mut out, sh.server_random);
-                out.extend_from_slice(br#","alpn":"#);
-                put_opt_str(&mut out, sh.alpn.as_deref());
-                out.extend_from_slice(br#","chain":"#);
-                put_list(&mut out, &sh.chain, put_cert);
-                out.extend_from_slice(br#","ticket":"#);
-                put_opt_u64(&mut out, sh.ticket);
-                out.extend_from_slice(br#","resumed":"#);
-                out.extend_from_slice(if sh.resumed { b"true" } else { b"false" });
-                out.extend_from_slice(b"}}");
-                out
-            }
+            HandshakeMsg::ServerHello(sh) => encode_server_hello(
+                sh.server_random,
+                sh.alpn.as_deref(),
+                &sh.chain,
+                sh.ticket,
+                sh.resumed,
+            ),
             HandshakeMsg::Alert(reason) => {
                 let mut out = Vec::with_capacity(12 + reason.len());
                 out.extend_from_slice(br#"{"Alert":"#);
@@ -175,6 +167,31 @@ impl HandshakeMsg {
         }
         Ok(msg)
     }
+}
+
+/// Write a [`ServerHello`] payload from borrowed parts, so a server
+/// sends its configured chain without copying it. The one ServerHello
+/// encoder: [`HandshakeMsg::encode`] delegates to it.
+pub(crate) fn encode_server_hello(
+    server_random: u64,
+    alpn: Option<&str>,
+    chain: &[Certificate],
+    ticket: Option<u64>,
+    resumed: bool,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(128 + 320 * chain.len());
+    out.extend_from_slice(br#"{"ServerHello":{"server_random":"#);
+    put_u64(&mut out, server_random);
+    out.extend_from_slice(br#","alpn":"#);
+    put_opt_str(&mut out, alpn);
+    out.extend_from_slice(br#","chain":"#);
+    put_list(&mut out, chain, put_cert);
+    out.extend_from_slice(br#","ticket":"#);
+    put_opt_u64(&mut out, ticket);
+    out.extend_from_slice(br#","resumed":"#);
+    out.extend_from_slice(if resumed { b"true" } else { b"false" });
+    out.extend_from_slice(b"}}");
+    out
 }
 
 fn put_cert(out: &mut Vec<u8>, cert: &Certificate) {

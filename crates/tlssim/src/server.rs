@@ -3,7 +3,7 @@
 //! framing) and DoH resolvers (inner service = HTTP) are deployed.
 
 use crate::cert::{fnv1a, Certificate, KeyId};
-use crate::handshake::{ClientHello, HandshakeMsg, ServerHello};
+use crate::handshake::{encode_server_hello, ClientHello, HandshakeMsg};
 use crate::record::{
     decode_records, encode_records, handshake_record, open, seal_record, ContentType, Record,
     SessionKey,
@@ -92,18 +92,14 @@ pub(crate) fn answer_client_hello(
             false,
         ),
     };
-    let hello = ServerHello {
+    let hello = encode_server_hello(
         server_random,
-        alpn,
-        chain: if resumed {
-            Vec::new()
-        } else {
-            config.chain.clone()
-        },
-        ticket: Some(key.0 ^ config.ticket_secret),
+        alpn.as_deref(),
+        if resumed { &[] } else { &config.chain },
+        Some(key.0 ^ config.ticket_secret),
         resumed,
-    };
-    match handshake_record(HandshakeMsg::ServerHello(hello).encode()) {
+    );
+    match handshake_record(hello) {
         Ok(reply) => Ok((key, resumed, reply)),
         Err(_) => Err(Record {
             ctype: ContentType::Alert,

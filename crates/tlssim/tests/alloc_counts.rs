@@ -1,14 +1,16 @@
 //! Heap allocations of the TLS state a million-client fleet holds and
 //! moves: a record flight is written into one buffer, an accepted stream
-//! shares its server's config, a trust store's clone shares its anchors,
-//! and a resumed session shares its ticket's certificate chain.
+//! shares its server's config, a server writes its chain into the
+//! ServerHello without copying it, a trust store's clone shares its
+//! anchors, and a resumed session shares its ticket's certificate chain.
 
 use netsim::{HostMeta, Network, NetworkConfig, PeerInfo, Service, StreamHandler};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-use tlssim::record::{encode_records, ContentType, Record};
+use tlssim::handshake::{ClientHello, HandshakeMsg};
+use tlssim::record::{decode_records, encode_records, ContentType, Record};
 use tlssim::{
     CaHandle, Certificate, DateStamp, KeyId, TlsClientConfig, TlsConnector, TlsServerConfig,
     TlsServerService, TrustStore,
@@ -126,6 +128,63 @@ fn a_tls_accept_allocates_only_its_handler() {
     let (allocs, handler) = allocs_during(|| service.open_stream(peer));
     assert_eq!(allocs, 1, "the handler's box, and no copy of the config");
     drop(handler);
+}
+
+/// A server answers a full ClientHello with the same allocations whether
+/// its chain holds one certificate or three with SANs: the chain is
+/// written into the ServerHello from the shared config, not copied.
+#[test]
+fn answering_a_full_client_hello_copies_no_certificate_chain() {
+    let mut net = Network::new(NetworkConfig::default(), 5);
+    let server = Ipv4Addr::new(203, 0, 113, 53);
+    let client = Ipv4Addr::new(198, 51, 100, 1);
+    net.add_host(HostMeta::new(server).country("US").asn(64500));
+    net.add_host(HostMeta::new(client).country("DE").asn(64501));
+    for (port, len) in [(853, 1), (8853, 3)] {
+        net.bind_tcp(
+            server,
+            port,
+            Arc::new(TlsServerService::new(
+                server_config(len),
+                Arc::new(UpperService),
+            )),
+        );
+    }
+    let hello = encode_records(&[Record {
+        ctype: ContentType::Handshake,
+        payload: HandshakeMsg::ClientHello(ClientHello {
+            sni: Some("dns.example".into()),
+            alpn: vec!["dot".into()],
+            client_random: 42,
+            ticket: None,
+        })
+        .encode(),
+    }]);
+    let answer = |net: &mut Network, port: u16| {
+        let mut conn = net.connect(client, server, port).unwrap();
+        let (allocs, flight) = allocs_during(|| conn.request(net, &hello));
+        conn.close(net);
+        (allocs, flight.unwrap())
+    };
+    // Warm the connection tables and telemetry with one answered hello
+    // per server, then count the next.
+    for port in [853, 8853] {
+        answer(&mut net, port);
+    }
+    let mut answer_allocs = Vec::new();
+    for (port, len) in [(853, 1), (8853, 3)] {
+        let (allocs, flight) = answer(&mut net, port);
+        let records = decode_records(&flight).unwrap();
+        let Ok(HandshakeMsg::ServerHello(sh)) = HandshakeMsg::decode(&records[0].payload) else {
+            panic!("expected a ServerHello");
+        };
+        assert_eq!(sh.chain, chain(len), "the ServerHello carries the chain");
+        answer_allocs.push(allocs);
+    }
+    assert_eq!(
+        answer_allocs[0], answer_allocs[1],
+        "allocations of a full ClientHello answered with a 1- and a 3-certificate chain"
+    );
 }
 
 #[test]

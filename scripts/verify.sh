@@ -225,6 +225,33 @@ cargo test -q --offline -p doe-telemetry --test properties -- \
     histogram_matches_the_btreemap_reference
 cargo test -q --offline -p doe-telemetry --test alloc_counts
 
+echo "==> scan memory: open hits merged in cycle order, one shard's table handed over"
+# A sweep shard keeps only its open hits, each with a u32 cycle ordinal:
+# merged at 1, 2, 3, 8 and 16 shards they must come out in the one-shard
+# (cycle) order with empty shards, more shards than hits, and the last
+# hit in the highest shard, and a space whose ordinals overflow a u32
+# must be refused.
+cargo test -q --offline -p doe-scanner --lib -- \
+    sweep::tests::merge_keeps_cycle_order_with_empty_shards_and_more_shards_than_hits \
+    sweep::tests::merge_keeps_cycle_order_when_the_last_hit_is_in_the_highest_shard \
+    sweep::tests::a_space_past_two_to_the_32_addresses_is_refused
+# Sweeping a /16 peaks at live bytes that follow its open hosts, not its
+# 65,536 probes; merging one shard's observation table returns it
+# without allocating.
+cargo test -q --offline -p doe-scanner --test alloc_counts -- \
+    a_slash16_sweep_holds_bytes_for_its_open_hosts_not_its_probes \
+    merging_one_shard_table_hands_it_over_without_allocating
+# A server writes its chain into the ServerHello without copying it: a
+# full handshake allocates the same for a one- and a three-certificate
+# chain.
+cargo test -q --offline -p tlssim --test alloc_counts -- \
+    answering_a_full_client_hello_copies_no_certificate_chain
+# Two quick-scale studies built in one process write the same bytes for
+# every experiment and the telemetry snapshot: no state outlives a Study,
+# as doe-bench's batch-against-first-batch digest check requires.
+cargo test -q --offline --test cross_stack -- \
+    two_studies_in_one_process_write_the_same_bytes
+
 echo "==> scanner: verify counters register only the classes that occur"
 # Verification counts outcomes through handles registered on first use;
 # a series registered up front would print as a zero in metrics.json.

@@ -3,6 +3,7 @@
 //! relay path.
 
 use dnswire::{builder, Rcode, RecordType};
+use doe_core::experiments::ALL_EXPERIMENTS;
 use doe_core::{Study, StudyConfig};
 use doe_protocols::QueryLog;
 use doe_vantage::socks::Socks5Client;
@@ -89,6 +90,35 @@ fn whole_study_is_deterministic_per_seed() {
     assert_eq!(a, b, "same seed must reproduce byte-identical results");
     let c = run(78);
     assert_ne!(a, c, "different seeds should differ in detail");
+}
+
+/// Two studies built one after the other in one process write the same
+/// bytes for every artifact and for the telemetry snapshot, so no state
+/// outlives a `Study`. doe-bench compares each batch with the first one
+/// of its process in the same way.
+#[test]
+fn two_studies_in_one_process_write_the_same_bytes() {
+    let run = || {
+        let mut study = Study::new(StudyConfig::quick(2019));
+        let mut bytes: Vec<(&str, String)> = ALL_EXPERIMENTS
+            .iter()
+            .map(|&id| {
+                let result = doe_core::experiments::run(&mut study, id).expect("runs");
+                let body = serde_json::to_string_pretty(&result.json).expect("serialises");
+                (id, body)
+            })
+            .collect();
+        let snapshot = study.world.net.metrics().snapshot();
+        let body = serde_json::to_string_pretty(&snapshot).expect("serialises");
+        bytes.push(("telemetry", body));
+        bytes
+    };
+    let first = run();
+    let second = run();
+    assert_eq!(first.len(), ALL_EXPERIMENTS.len() + 1);
+    for ((id, a), (_, b)) in first.iter().zip(&second) {
+        assert!(a == b, "{id} differs between two studies in one process");
+    }
 }
 
 #[test]
